@@ -37,9 +37,11 @@ lint:
 	done; [ $$bad -eq 0 ] || { echo "lint: unprotected Mutex.lock in lib/"; exit 1; }
 	@echo "lint: ok"
 
-# what CI runs: full build, test suite, and a CLI smoke pass
-# (list + one validated layout + a malformed spec that must fail +
-# the --json/bench-emit telemetry surfaces, which self-validate)
+# what CI runs, as its single verification step: lint, full build,
+# test suite, and a CLI smoke pass (list + one validated layout + a
+# malformed spec that must fail + the --json/bench-emit telemetry
+# surfaces, which self-validate + the --jobs N vs --jobs 1 byte-identity
+# legs + the serve daemon)
 check: lint
 	dune build @all
 	dune runtest
@@ -47,29 +49,26 @@ check: lint
 	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --validate
 	! dune exec bin/mvl_cli.exe -- layout hypercube:abc -l 4 2> /dev/null
 	dune exec bin/mvl_cli.exe -- layout hypercube:8 -l 4 --json | grep -q '"schema": "mvl.pipeline.run/1"'
+	dune exec bin/mvl_cli.exe -- sweep kary:3:2 -l 2,4 --validate --json | grep -q '"schema": "mvl.pipeline.sweep/1"'
+	dune exec bin/mvl_cli.exe -- sweep hypercube:6 -l 2,4,8 --jobs 4 --validate > /dev/null
+	dune exec bin/mvl_cli.exe -- validate hypercube:4 ccc:3 tree:5 --jobs 3 > /dev/null
 	dune exec bench/main.exe -- emit > /dev/null
 	grep -q '"schema": "mvl.bench.pipeline/1"' BENCH_pipeline.json
 	dune exec bench/main.exe -- emit --jobs 1 --stable -o BENCH_jobs1.json > /dev/null
 	dune exec bench/main.exe -- emit --jobs 4 --stable -o BENCH_jobs2.json > /dev/null
 	cmp BENCH_jobs1.json BENCH_jobs2.json
-	MVL_FORCE_FORK=1 dune exec bench/main.exe -- emit --jobs 4 --stable -o BENCH_fork.json > /dev/null
-	cmp BENCH_jobs1.json BENCH_fork.json
-	rm -f BENCH_jobs1.json BENCH_jobs2.json BENCH_fork.json
+	rm -f BENCH_jobs1.json BENCH_jobs2.json
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.05 --json | grep -q '"schema": "mvl.sim.run/1"'
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 1 --stable --json > SIM_jobs1.json
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_jobs2.json
 	cmp SIM_jobs1.json SIM_jobs2.json
-	MVL_FORCE_FORK=1 dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_fork.json
-	cmp SIM_jobs1.json SIM_fork.json
-	rm -f SIM_jobs1.json SIM_jobs2.json SIM_fork.json
+	rm -f SIM_jobs1.json SIM_jobs2.json
 	dune exec bench/main.exe -- throughput --quick -o BENCH_sim_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.sim/1"' BENCH_sim_quick.json
 	dune exec bench/main.exe -- throughput --quick --jobs 1 --stable -o BENCH_sim_jobs1.json > /dev/null
 	dune exec bench/main.exe -- throughput --quick --jobs 4 --stable -o BENCH_sim_jobs2.json > /dev/null
 	cmp BENCH_sim_jobs1.json BENCH_sim_jobs2.json
-	MVL_FORCE_FORK=1 dune exec bench/main.exe -- throughput --quick --jobs 4 --stable -o BENCH_sim_fork.json > /dev/null
-	cmp BENCH_sim_jobs1.json BENCH_sim_fork.json
-	rm -f BENCH_sim_quick.json BENCH_sim_jobs1.json BENCH_sim_jobs2.json BENCH_sim_fork.json
+	rm -f BENCH_sim_quick.json BENCH_sim_jobs1.json BENCH_sim_jobs2.json
 	dune exec bench/main.exe -- scale --quick --jobs 2 -o BENCH_layout_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.layout/1"' BENCH_layout_quick.json
 	grep -q '"layout_phases"' BENCH_layout_quick.json
@@ -88,9 +87,12 @@ check: lint
 	# replies must cmp-equal the one-shot --json --stable document, the
 	# shared spec must cost exactly one pipeline build, then the quick
 	# serving benchmark (binaries invoked directly: concurrent `dune
-	# exec` would contend on the build lock)
-	MVL=./_build/default/bin/mvl_cli.exe; SOCK=/tmp/mvl-check-$$$$.sock; rm -f $$SOCK; \
+	# exec` would contend on the build lock).  The recipe is one shell
+	# line, so `set -e` makes every test in it fail the target; the
+	# EXIT trap stops the daemon and removes the scratch files either way
+	set -e; MVL=./_build/default/bin/mvl_cli.exe; SOCK=/tmp/mvl-check-$$$$.sock; rm -f $$SOCK; \
 	$$MVL serve --socket $$SOCK & SRV=$$!; \
+	trap 'kill $$SRV 2> /dev/null || true; rm -f $$SOCK CHECK_oneshot.json CHECK_served_*.json CHECK_stats.json' EXIT; \
 	for i in $$(seq 50); do [ -S $$SOCK ] && break; sleep 0.1; done; [ -S $$SOCK ]; \
 	$$MVL layout hypercube:6 -l 4 --json --stable > CHECK_oneshot.json; \
 	pids=""; for i in 1 2 3 4; do \
@@ -101,8 +103,7 @@ check: lint
 	$$MVL request stats --connect $$SOCK > CHECK_stats.json; \
 	grep -q '"schema": "mvl.serve.stats/1"' CHECK_stats.json; \
 	sed -n '/"pipeline"/,/}/p' CHECK_stats.json | grep -q '"misses": 1,'; \
-	$$MVL request shutdown --connect $$SOCK > /dev/null; wait $$SRV; \
-	rm -f CHECK_oneshot.json CHECK_served_*.json CHECK_stats.json
+	$$MVL request shutdown --connect $$SOCK > /dev/null; wait $$SRV
 	dune exec bench/main.exe -- serve --quick -o BENCH_serve_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.serve/1"' BENCH_serve_quick.json
 	rm -f BENCH_serve_quick.json

@@ -7,12 +7,11 @@
    are written one per line, so regenerating the file yields reviewable
    diffs (only the "seconds" and cumulative "cache" numbers move).
 
-   `--jobs N` fans the (spec, L) grid out over N workers of the active
-   Mvl.Parallel backend (work-stealing domains by default, forked
-   processes under MVL_FORCE_FORK=1); records land in the file in grid
-   order regardless of worker scheduling.  `--stable` strips the
-   volatile "seconds"/"cache" fields so two emits — any job counts,
-   either backend — are byte-identical; the CI determinism step diffs
+   `--jobs N` fans the (spec, L) grid out over N work-stealing domains
+   of Mvl.Parallel; records land in the file in grid order regardless
+   of worker scheduling.  `--stable` strips the volatile
+   "seconds"/"cache" fields so two emits at any job counts are
+   byte-identical; the CI determinism step diffs
    multi-job runs against a --jobs 1 run.  Non-stable emits additionally
    time the grid at 1/2/4/8 workers and record the scaling curve under
    "jobs_scaling".
@@ -54,7 +53,7 @@ let records ?jobs ~stable () =
   let rs = if stable then List.map Mvl.Telemetry.strip_volatile rs else rs in
   (rs, stats)
 
-(* wall-time the whole grid at 1/2/4/8 workers on the active backend —
+(* wall-time the whole grid at 1/2/4/8 domains —
    the runtime's scaling signature, recorded alongside the per-record
    timings.  Each measurement starts from a cold layout cache so every
    point does the same work; speedup is against the 1-worker run of the
@@ -88,9 +87,7 @@ let measure_scaling () =
       in
       Mvl.Telemetry.Obj
         [
-          ( "backend",
-            Mvl.Telemetry.String
-              (Mvl.Parallel.backend_name (Mvl.Parallel.default_backend ())) );
+          ("backend", Mvl.Telemetry.String "domains");
           ("cpu_count", Mvl.Telemetry.Int (Mvl.Parallel.cpu_count ()));
           ("points", Mvl.Telemetry.List (List.map point scaling_points));
         ]

@@ -118,8 +118,8 @@ let stable_record = function
 
 let record ~jobs (spec_str, layers) =
   let spec = Mvl.Registry.spec_exn spec_str in
-  let fam, build_s = time (fun () -> Mvl.Registry.build_exn spec) in
   Mvl.Layout_profile.reset ();
+  let fam, build_s = time (fun () -> Mvl.Registry.build_exn spec) in
   let layout, layout_s =
     time (fun () -> fam.Mvl.Families.layout_jobs ~jobs ~layers)
   in

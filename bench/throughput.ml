@@ -10,10 +10,7 @@
    [--jobs N] shards the engine itself across N domains
    (Network_sim.run ?jobs); the grid then runs one point at a time so
    per-point wall timings measure the sharded engine alone rather than
-   co-scheduled grid neighbors.  Under MVL_FORCE_FORK=1 the engine
-   refuses domains, so --jobs falls back to the pre-domain meaning —
-   fork-pool fan-out of the grid — and the statistics are unchanged
-   either way.
+   co-scheduled grid neighbors.
 
    Record shape: the deterministic measurement (Telemetry.of_sim) next
    to a volatile "seconds" object holding {wall, cycles_per_sec,
@@ -177,9 +174,7 @@ let measure_scaling p ~pattern =
   in
   Mvl.Telemetry.Obj
     [
-      ( "backend",
-        Mvl.Telemetry.String
-          (if Mvl.Sim_shard.env_force_fork () then "serial" else "domains") );
+      ("backend", Mvl.Telemetry.String "domains");
       ("cpu_count", Mvl.Telemetry.Int (Mvl.Parallel.cpu_count ()));
       ("spec", Mvl.Telemetry.String spec_str);
       ("offered_load", Mvl.Telemetry.Float load);
@@ -243,14 +238,9 @@ let run ?(path = default_path) ?jobs ?(quick = false) ?(stable = false)
   let p = if quick then quick_profile else full_profile in
   let points = grid p in
   (* --jobs shards the engine (domains), and the grid then runs one
-     point at a time so wall timings stay honest; under
-     MVL_FORCE_FORK=1 the engine refuses domains, so the same flag
-     degrades to the legacy meaning — fork fan-out of the grid. *)
+     point at a time so wall timings stay honest *)
   let engine_jobs, grid_jobs =
-    match jobs with
-    | Some j when j > 1 && not (Mvl.Sim_shard.env_force_fork ()) ->
-        (Some j, Some 1)
-    | _ -> (None, jobs)
+    match jobs with Some j when j > 1 -> (Some j, Some 1) | _ -> (None, jobs)
   in
   let rs, stats =
     Mvl.Parallel.map ?jobs:grid_jobs

@@ -68,16 +68,15 @@ let jobs_arg =
         ~doc:
           "Fan independent runs out over $(docv) workers — a \
            work-stealing pool of OCaml domains sharing one layout \
-           cache, or forked processes when MVL_FORCE_FORK=1 is set \
-           (default: every processor visible to this process; 1 forces \
-           the sequential path).  Output order and content are \
-           independent of $(docv) and of the backend.")
+           cache (default: every processor visible to this process; 1 \
+           forces the sequential path).  Output order and content are \
+           independent of $(docv).")
 
 let print_json j = print_endline (Mvl.Telemetry.to_string ~pretty:true j)
 
 (* --- merged-record accessors --------------------------------------------
-   Parallel runs come back as Telemetry records (that is the wire
-   format), so the human renderings below read fields back out of the
+   Parallel runs come back as Telemetry records (Parallel.map's result
+   type), so the human renderings below read fields back out of the
    merged records rather than out of in-process Pipeline.t values. *)
 
 let jint key j =
@@ -635,9 +634,8 @@ let sim_cmd =
           ~doc:
             "Shard the simulated routers over $(docv) domains advancing \
              in barrier-phased lockstep.  Statistics are byte-identical \
-             to the serial engine for every $(docv) (absent, 1, or \
-             under MVL_FORCE_FORK=1 the serial engine runs and no \
-             domain is spawned).")
+             to the serial engine for every $(docv) (absent or 1 runs \
+             the serial engine and spawns no domain).")
   in
   let stable_arg =
     Arg.(

@@ -1,10 +1,10 @@
 (* Work-stealing domain pool over a fixed task set.
 
    One mutex-protected deque of task indices per worker: the owner pops
-   the front (ascending index order, matching the fork pool's static
-   round-robin partition), thieves pop the back.  No task creates new
-   tasks, so a worker that scans every deque and finds nothing can
-   retire — there is no blocking hand-off to get wrong. *)
+   the front (ascending index order over its static round-robin share),
+   thieves pop the back.  No task creates new tasks, so a worker that
+   scans every deque and finds nothing can retire — there is no
+   blocking hand-off to get wrong. *)
 
 type deque = {
   ids : int array;        (* task indices dealt to this worker *)
@@ -61,12 +61,6 @@ let worker_loop deques w run steals =
 
 type stats = { domains : int; steals : int }
 
-(* the OCaml 5 runtime permanently refuses Unix.fork once any domain
-   has been spawned in the process, so record that we did — the fork
-   backend's availability probe reads this *)
-let ever_spawned = Atomic.make false
-let spawned_domains () = Atomic.get ever_spawned
-
 let map ?domains ~f items =
   let n = Array.length items in
   let workers =
@@ -101,7 +95,6 @@ let map ?domains ~f items =
       | exception e ->
           failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
     in
-    Atomic.set ever_spawned true;
     let spawned =
       Array.init (workers - 1) (fun k ->
           Domain.spawn (fun () -> worker_loop deques (k + 1) run steals))
@@ -147,7 +140,6 @@ let gang ~workers ?abort f =
           if not (Atomic.exchange aborted true) then
             Option.iter (fun k -> k ()) abort
     in
-    Atomic.set ever_spawned true;
     let spawned =
       Array.init (workers - 1) (fun k -> Domain.spawn (fun () -> run (k + 1)))
     in

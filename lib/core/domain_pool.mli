@@ -7,11 +7,11 @@
 
     Deque protocol: task indices are dealt round-robin into one deque
     per worker (worker [w] initially owns indices [w, w+D, w+2D, ...],
-    the same static partition the fork pool used, so ownership is
-    reproducible); an owner pops from the {e front} of its own deque
-    (ascending index order) and an idle worker steals from the {e back}
-    of a victim's deque (the indices the owner would reach last),
-    scanning victims round-robin from its own successor.  Each deque is
+    a static partition, so ownership is reproducible); an owner pops
+    from the {e front} of its own deque (ascending index order) and an
+    idle worker steals from the {e back} of a victim's deque (the
+    indices the owner would reach last), scanning victims round-robin
+    from its own successor.  Each deque is
     guarded by its own mutex — tasks here are whole pipeline runs or
     verification shards, so the per-task locking cost is noise.
 
@@ -59,11 +59,6 @@ val gang : workers:int -> ?abort:(unit -> unit) -> (int -> unit) -> unit
     up and fail too; after all workers are joined the exception from the
     lowest-index worker whose failure is not a {!Barrier.Broken} echo is
     re-raised with its backtrace. *)
-
-val spawned_domains : unit -> bool
-(** [true] once any {!map} call has spawned a domain in this process.
-    The OCaml 5 runtime permanently refuses [Unix.fork] after that
-    point, so the fork backend consults this before forking. *)
 
 val split_seed : seed:int -> index:int -> int
 (** A deterministic per-task seed: a splitmix64-style finalizer over

@@ -93,6 +93,5 @@ module Telemetry = Telemetry
 module Parallel = Parallel
 module Domain_pool = Mvl_pool.Domain_pool
 module Barrier = Mvl_pool.Barrier
-module Bounded_fifo = Bounded_fifo
 module Cache = Cache
 module Ring_buffer = Mvl_ring.Ring_buffer

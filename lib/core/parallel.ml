@@ -1,24 +1,4 @@
 type stats = { workers : int; hits : int; misses : int }
-type backend = Domains | Fork | Sequential
-
-let backend_name = function
-  | Domains -> "domains"
-  | Fork -> "fork"
-  | Sequential -> "sequential"
-
-(* the runtime refuses Unix.fork forever once a domain has been
-   spawned, so fork availability is dynamic: true until the domain
-   backend first runs *)
-let available () = (not Sys.win32) && not (Mvl_pool.Domain_pool.spawned_domains ())
-
-let force_fork () =
-  match Sys.getenv_opt "MVL_FORCE_FORK" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let default_backend () =
-  if force_fork () && available () then Fork else Domains
-
 (* /proc/cpuinfo counts every online processor, which over-reports in
    cpuset-limited containers; kept only as a fallback for runtimes
    where the affinity probe answers nothing useful *)
@@ -48,147 +28,22 @@ let cpu_count () =
 
 let default_jobs () = cpu_count ()
 
-let counter_delta (before : Pipeline.cache_stats) =
-  let after = Pipeline.cache_stats () in
-  (after.Pipeline.hits - before.Pipeline.hits,
-   after.Pipeline.misses - before.Pipeline.misses)
-
-let run_sequential f items =
-  let before = Pipeline.cache_stats () in
-  let results = Array.to_list (Array.map f items) in
-  let hits, misses = counter_delta before in
-  (results, { workers = 1; hits; misses })
-
-(* --- domain backend ---------------------------------------------------- *)
-
-(* results come back by reference from the work-stealing pool; the
-   Pipeline cache is shared (it locks internally), so the counter delta
-   around the whole map is the aggregate over every domain *)
-let domain_map ~f ~items ~workers =
-  let before = Pipeline.cache_stats () in
-  let results, _pool = Mvl_pool.Domain_pool.map ~domains:workers ~f items in
-  let hits, misses = counter_delta before in
-  (Array.to_list results, { workers; hits; misses })
-
-(* --- fork backend ------------------------------------------------------ *)
-
-(* worker [w] of [workers] handles indices w, w+workers, w+2*workers, ...
-   — a static partition, so which worker owns a job never depends on
-   runtime scheduling.  An exception from [f] writes nothing: the
-   parent recomputes the missing index and the exception surfaces
-   there with sequential semantics. *)
-let worker_loop ~f ~items ~w ~workers oc =
-  let before = Pipeline.cache_stats () in
-  let n = Array.length items in
-  let i = ref w in
-  while !i < n do
-    (match f items.(!i) with
-    | json -> Printf.fprintf oc "%d\t%s\n" !i (Telemetry.to_string json)
-    | exception _ -> ());
-    i := !i + workers
-  done;
-  let hits, misses = counter_delta before in
-  Printf.fprintf oc "stats\t{\"hits\":%d,\"misses\":%d}\n" hits misses;
-  flush oc
-
-let rec reap pid =
-  match Unix.waitpid [] pid with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
-
-let fork_map ~f ~items ~workers =
-  let n = Array.length items in
-  let pipes = Array.init workers (fun _ -> Unix.pipe ()) in
-  (* children exit with Unix._exit, so anything sitting in inherited
-     stdio buffers would otherwise be flushed once per process *)
-  flush stdout;
-  flush stderr;
-  let pids =
-    Array.init workers (fun w ->
-        match Unix.fork () with
-        | 0 ->
-            Array.iteri
-              (fun i (rd, wr) ->
-                Unix.close rd;
-                if i <> w then Unix.close wr)
-              pipes;
-            let oc = Unix.out_channel_of_descr (snd pipes.(w)) in
-            (try worker_loop ~f ~items ~w ~workers oc with _ -> ());
-            (try close_out oc with _ -> ());
-            Unix._exit 0
-        | pid -> pid)
-  in
-  Array.iter (fun (_, wr) -> Unix.close wr) pipes;
-  let results : Telemetry.json option array = Array.make n None in
-  let hits = ref 0 in
-  let misses = ref 0 in
-  let record_stats json =
-    (match Telemetry.member "hits" json with
-    | Some (Telemetry.Int h) -> hits := !hits + h
-    | _ -> ());
-    match Telemetry.member "misses" json with
-    | Some (Telemetry.Int m) -> misses := !misses + m
-    | _ -> ()
-  in
-  let consume_line line =
-    match String.index_opt line '\t' with
-    | None -> ()
-    | Some tab -> (
-        let tag = String.sub line 0 tab in
-        let payload =
-          String.sub line (tab + 1) (String.length line - tab - 1)
-        in
-        match Telemetry.parse payload with
-        | Error _ -> ()
-        | Ok json -> (
-            if tag = "stats" then record_stats json
-            else
-              match int_of_string_opt tag with
-              | Some i when i >= 0 && i < n -> results.(i) <- Some json
-              | _ -> ()))
-  in
-  (* one pipe at a time is deadlock-free: workers only ever block
-     writing their own pipe, and the parent drains every pipe to EOF
-     before waiting on any child *)
-  Array.iter
-    (fun (rd, _) ->
-      let ic = Unix.in_channel_of_descr rd in
-      (try
-         while true do
-           consume_line (input_line ic)
-         done
-       with End_of_file -> ());
-      close_in ic)
-    pipes;
-  Array.iter reap pids;
-  let before = Pipeline.cache_stats () in
-  let merged =
-    Array.to_list
-      (Array.mapi
-         (fun i -> function Some json -> json | None -> f items.(i))
-         results)
-  in
-  let parent_hits, parent_misses = counter_delta before in
-  ( merged,
-    { workers; hits = !hits + parent_hits; misses = !misses + parent_misses } )
-
-(* --- facade ------------------------------------------------------------ *)
-
-let map ?backend ?jobs ~f xs =
+(* results come back by reference from the work-stealing pool, which
+   clamps the worker count to the items and runs a plain sequential map
+   itself when that leaves one worker; the Pipeline cache is shared (it
+   locks internally), so the counter delta around the whole map is the
+   aggregate over every domain *)
+let map ?jobs ~f xs =
   let items = Array.of_list xs in
-  let n = Array.length items in
   let requested =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
-  let workers = min requested (max 1 n) in
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  if workers <= 1 then run_sequential f items
-  else
-    match backend with
-    | Sequential -> run_sequential f items
-    | Domains -> domain_map ~f ~items ~workers
-    | Fork ->
-        if available () then fork_map ~f ~items ~workers
-        else run_sequential f items
+  let before = Pipeline.cache_stats () in
+  let results, pool = Mvl_pool.Domain_pool.map ~domains:requested ~f items in
+  let after = Pipeline.cache_stats () in
+  ( Array.to_list results,
+    {
+      workers = pool.Mvl_pool.Domain_pool.domains;
+      hits = after.Pipeline.hits - before.Pipeline.hits;
+      misses = after.Pipeline.misses - before.Pipeline.misses;
+    } )

@@ -2,62 +2,24 @@
 
     Every sweep surface — [mvl sweep --jobs], [mvl validate --jobs],
     [bench emit --jobs] — evaluates one independent pipeline run per
-    (spec, layers) point, so the runtime is a plain parallel [map]
-    over two interchangeable backends:
+    (spec, layers) point, so the runtime is a plain parallel [map] on a
+    work-stealing {!Domain_pool} of OCaml 5 domains inside one process.
+    Results come back by reference — no serialization — and every
+    domain shares the one {!Pipeline} layout cache, so a layout built
+    by any worker is a hit for all of them.  An exception from [f]
+    propagates with its backtrace after the pool drains: the one from
+    the lowest failing input index, as a sequential map would raise it.
 
-    - {b Domains} (the default): the jobs run on a work-stealing
-      {!Domain_pool} of OCaml 5 domains inside one process.  Results
-      come back by reference — no serialization — and every domain
-      shares the one {!Pipeline} layout cache, so a layout built by
-      any worker is a hit for all of them.  An exception from [f]
-      propagates with its backtrace after the pool drains.
-    - {b Fork} (legacy, kept behind [MVL_FORCE_FORK=1]): the job list
-      is split round-robin over [N] forked workers, each worker
-      streams its results back over a pipe as framed compact
-      {!Telemetry} records, and the parent merges them by input
-      index.  Framing (one line per message; no raw newlines occur
-      inside a compact record):
-      {v
-      <index> TAB <compact JSON record> NL      one per completed job
-      stats   TAB {"hits":H,"misses":M}  NL     once per worker, at exit
-      v}
-      A job whose record never arrives — [f] raised, or the worker
-      crashed or was killed mid-run — is recomputed in the parent
-      after the merge, so an exception from [f] surfaces exactly as it
-      would sequentially and a lost worker costs only its own
-      unreported jobs.  Workers inherit the parent's cache state at
-      fork time; insertions made by a worker die with it.
-
-    Both backends merge results in input order, independent of worker
-    scheduling, so [--stable] output is byte-identical across backends
-    and job counts.  With one worker (or one job) either backend
-    degrades to the plain sequential map in the calling process. *)
+    Results are merged in input order, independent of worker
+    scheduling, so [--stable] output is byte-identical across job
+    counts.  With one worker (or one job) the map is the plain
+    sequential map in the calling domain. *)
 
 type stats = {
-  workers : int;  (** domains/processes actually used (1 = in-process) *)
+  workers : int;  (** domains actually used (1 = the calling domain) *)
   hits : int;     (** layout-cache hits summed over all workers *)
   misses : int;   (** layout-cache misses summed over all workers *)
 }
-
-type backend =
-  | Domains     (** shared-memory work-stealing domain pool *)
-  | Fork        (** legacy fork/pipe worker pool *)
-  | Sequential  (** plain [List.map] in the calling process *)
-
-val backend_name : backend -> string
-(** ["domains"], ["fork"], ["sequential"] — for telemetry and logs. *)
-
-val default_backend : unit -> backend
-(** [Domains], unless [MVL_FORCE_FORK] is set to [1]/[true]/[yes]
-    (and forking is {!available}), which selects [Fork]. *)
-
-val available : unit -> bool
-(** [true] where [Unix.fork] currently works: not on native Windows,
-    and not once the domain backend has spawned a domain — the OCaml 5
-    runtime permanently refuses [fork] in a process that has created
-    domains.  Gates only the [Fork] backend (a [Fork] request falls
-    back to sequential when unavailable); [Domains] works
-    everywhere. *)
 
 val cpu_count : unit -> int
 (** Processors available to {e this} process:
@@ -68,17 +30,15 @@ val cpu_count : unit -> int
 
 val default_jobs : unit -> int
 (** [cpu_count ()] — the default for the [--jobs] flags.  No longer
-    capped at 8: the domain backend has no per-worker fork cost, so
-    wide machines should use their width. *)
+    capped: a domain costs no process start-up, so wide machines
+    should use their width. *)
 
 val map :
-  ?backend:backend ->
   ?jobs:int ->
   f:('a -> Telemetry.json) ->
   'a list ->
   Telemetry.json list * stats
 (** [map ~jobs ~f xs] is [List.map f xs] evaluated on up to [jobs]
-    workers (default {!default_jobs}; never more workers than jobs) of
-    [backend] (default {!default_backend}), plus the aggregated
-    {!Pipeline} layout-cache counter deltas.  Results are in input
-    order. *)
+    domains (default {!default_jobs}; never more workers than jobs),
+    plus the aggregated {!Pipeline} layout-cache counter deltas.
+    Results are in input order. *)

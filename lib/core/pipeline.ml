@@ -18,19 +18,19 @@ type t = {
 type cache_stats = { hits : int; misses : int; coalesced : int }
 type validity = Valid | Invalid | Not_validated
 
-(* families are memoized by canonical spec string in a FIFO-bounded
-   Bounded_fifo (construction is cheap; recency is all that matters),
-   layouts by "spec@layers" string in a GreedyDual-Size-Frequency
-   {!Cache}: priority = clock + freq * build-seconds / resident-bytes,
-   so a microsecond ring:64 can never evict a multi-second
-   hypercube:17 the moment it lands, yet an expensive layout nobody
-   asks for again ages out through the clock term.
+(* families are memoized by canonical spec string, layouts by
+   "spec@layers" string, both in a GreedyDual-Size-Frequency {!Cache}:
+   priority = clock + freq * build-seconds / size, so a microsecond
+   ring:64 can never evict a multi-second hypercube:17 the moment it
+   lands, yet an expensive entry nobody asks for again ages out through
+   the clock term.  Layouts are sized by resident bytes; families count
+   as size 1, so their rank is build-seconds times frequency.
 
-   The caches are shared across domains (the Domain_pool backend of
-   Parallel.map and the serve daemon's workers run pipeline jobs
-   concurrently in one process), so every table access goes through
-   [cache_lock] and the counters are atomics — stats readers must use
-   the accessors below, never raw table state.
+   The caches are shared across domains (Parallel.map's domains and
+   the serve daemon's workers run pipeline jobs concurrently in one
+   process), so every table access goes through [cache_lock] and the
+   counters are atomics — stats readers must use the accessors below,
+   never raw table state.
 
    Realization happens outside the lock, under single-flight
    coalescing: the first domain to miss on a key claims an in-flight
@@ -47,8 +47,8 @@ let locked f =
   Mutex.lock cache_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
 
-let family_cache : (string, Families.t) Bounded_fifo.t =
-  Bounded_fifo.create ~capacity:default_cache_capacity
+let family_cache : (string, Families.t) Cache.t =
+  Cache.create ~capacity:default_cache_capacity ()
 
 let layout_cache : (string, Layout.t) Cache.t =
   Cache.create ~capacity:default_cache_capacity ()
@@ -86,13 +86,13 @@ let set_cache_capacity cap =
      for the next insertion *)
   locked (fun () ->
       Cache.set_capacity layout_cache cap;
-      Bounded_fifo.set_capacity family_cache cap)
+      Cache.set_capacity family_cache cap)
 
 let set_cache_bytes b = locked (fun () -> Cache.set_max_bytes layout_cache b)
 
 let cache_reset () =
   locked (fun () ->
-      Bounded_fifo.clear family_cache;
+      Cache.clear family_cache;
       Cache.clear layout_cache;
       Cache.reset_stats layout_cache);
   Atomic.set hits 0;
@@ -114,25 +114,27 @@ let run ?validate ?(report = false) ?(cache = true) ~layers spec =
   let key = Registry.to_string spec in
   let build_family () =
     match
-      if cache then locked (fun () -> Bounded_fifo.find_opt family_cache key)
+      if cache then locked (fun () -> Cache.find_opt family_cache key)
       else None
     with
-    | Some fam -> Ok fam
-    | None -> (
-        match Registry.build spec with
-        | Error _ as err -> err
-        | Ok fam ->
-            if cache then
-              locked (fun () -> Bounded_fifo.add family_cache key fam);
-            Ok fam)
+    | Some fam -> (Ok fam, false)
+    | None -> (Registry.build spec, true)
   in
-  let fam_res, t_build = timed "build" build_family in
+  (* product families place and pack during their construction, so the
+     phase accumulator is reset before it; a family-cache hit then
+     reports zero for the phases it did not run *)
+  Layout_profile.reset ();
+  let (fam_res, fresh), t_build = timed "build" build_family in
   match fam_res with
   | Error msg -> Error msg
   | Ok family ->
+      if cache && fresh then
+        ignore
+          (locked (fun () ->
+               Cache.add family_cache key family ~cost:t_build.seconds
+                 ~size:1));
       let phases = ref None in
       let build () =
-        Layout_profile.reset ();
         let lay = family.Families.layout ~layers in
         phases := Some (Layout_profile.snapshot ());
         lay

@@ -14,13 +14,15 @@
     resident bytes), so a sweep over [L] — or a metrics pass followed
     by a simulation on the same spec — constructs each distinct layout
     exactly once while it stays resident, and a burst of cheap small
-    specs cannot flush a layout that took seconds to build.
+    specs cannot flush a layout that took seconds to build.  Families
+    are memoized the same way, keyed by the canonical spec string
+    (size 1, cost = family build seconds).
     Hit/miss/coalesced counters are exposed for verification.
 
     The cache is domain-safe: table accesses are serialized behind one
     mutex (held only for the lookup or insertion itself, never while a
     layout is being built) and the counters are atomics, so
-    {!Parallel.map}'s domain backend and the serve daemon share one
+    {!Parallel.map}'s domains and the serve daemon share one
     cache across all their workers and a resident layout is handed out
     by reference.  Concurrent misses on the {e same} key are
     single-flighted: the first misser builds, the rest block on a
@@ -47,9 +49,11 @@ type t = {
   report : Report.t option;
   timings : stage_time list;  (** in stage order *)
   layout_phases : Layout_profile.phases option;
-      (** per-phase breakdown of the layout stage ({!Layout_profile}),
+      (** per-phase breakdown of construction ({!Layout_profile}):
+          place/pack as timed during this run's family build (0 on a
+          family-cache hit), terminals/emit/build during realization;
           recorded only when the layout was actually constructed —
-          [None] on a cache hit *)
+          [None] on a layout-cache hit *)
   from_cache : bool;          (** the layout stage was a cache hit *)
 }
 
@@ -131,8 +135,8 @@ val cache_size : unit -> int
 
 val cache_capacity : unit -> int
 val set_cache_capacity : int -> unit
-(** Bound on resident entries (default 256), enforced by GDSF eviction
-    at insertion; shrinking evicts immediately.  [0] disables caching.
+(** Bound on resident entries of both the layout and the family cache
+    (default 256), enforced by GDSF eviction at insertion; shrinking evicts immediately.  [0] disables caching.
     Counters are unaffected — a re-run of an evicted spec counts as a
     fresh miss. *)
 

@@ -17,22 +17,14 @@ let zero =
     build_seconds = 0.;
   }
 
-let current = ref zero
-let reset () = current := zero
-
-let label = function
-  | Place -> "place"
-  | Pack -> "pack"
-  | Terminals -> "terminals"
-  | Emit -> "emit"
-  | Build -> "build"
-
-let debug () = Sys.getenv_opt "MVL_LAYOUT_TIMINGS" <> None
+(* one accumulator per domain: concurrent constructions (serve
+   workers, Parallel.map domains) never sum into each other *)
+let current = Domain.DLS.new_key (fun () -> zero)
+let reset () = Domain.DLS.set current zero
 
 let record phase dt =
-  if debug () then Printf.eprintf "layout: %-16s %.4fs\n%!" (label phase) dt;
-  let c = !current in
-  current :=
+  let c = Domain.DLS.get current in
+  Domain.DLS.set current
     (match phase with
     | Place -> { c with place_seconds = c.place_seconds +. dt }
     | Pack -> { c with pack_seconds = c.pack_seconds +. dt }
@@ -46,4 +38,4 @@ let timed phase f =
   record phase (Unix.gettimeofday () -. t0);
   r
 
-let snapshot () = !current
+let snapshot () = Domain.DLS.get current

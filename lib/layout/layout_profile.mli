@@ -1,15 +1,15 @@
-(** Wall-clock phase accounting for layout construction, mirroring the
-    [MVL_CHECK_TIMINGS] ticks in {!Check}: when the [MVL_LAYOUT_TIMINGS]
-    environment variable is set, every recorded phase also prints a
-    [layout: <phase> <seconds>] line to stderr.
+(** Wall-clock phase accounting for layout construction.
 
-    The accumulator is a single global: {!reset} before a construction,
-    {!snapshot} after.  Construction code ({!Orthogonal.create},
-    {!Multilayer.realize_general}) adds into it unconditionally — the
-    cost is one clock read per phase, not per edge.  Concurrent
-    constructions from multiple domains would interleave their sums;
-    that is benign (the numbers are profiling hints, not results) and
-    the enforced bench path constructs one layout at a time. *)
+    The accumulator is domain-local: {!reset} before a construction,
+    {!snapshot} after, on the same domain.  Construction code
+    ({!Orthogonal.create}, {!Multilayer.realize_general}) adds into it
+    unconditionally from the calling domain — the cost is one clock
+    read per phase, not per edge — so concurrent constructions on
+    different domains (serve workers, [Parallel.map]) never sum into
+    each other.  Place and pack run inside a family's construction
+    ({!Orthogonal.of_product}), terminals/emit/build when a layer count
+    is realized, so a caller that wants every phase resets before the
+    family build. *)
 
 type phase = Place | Pack | Terminals | Emit | Build
 

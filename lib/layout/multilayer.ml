@@ -29,14 +29,6 @@ type frame = {
   row_slots : int array;
 }
 
-(* mirror of Parallel.force_fork (same idiom as Sim_shard): under the
-   fork backend no domain may ever be spawned, so emission degrades to
-   the serial path *)
-let env_force_fork () =
-  match Sys.getenv_opt "MVL_FORCE_FORK" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 (* incidence keys pack (position of the other endpoint, edge id) into
    one int so a range sort orders a node's terminals exactly like the
    historical (pos, edge_id) pair sort *)
@@ -373,7 +365,7 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
         Geom.Builder.fixed_point w ~x:xright ~y:l.term_y ~z:z1)
       extras
   in
-  let jobs = if jobs <= 1 || env_force_fork () then 1 else jobs in
+  let jobs = max 1 jobs in
   (if jobs = 1 then begin
      let w = Geom.Builder.writer fx in
      emit_rows w 0 o.rows;

@@ -22,14 +22,6 @@ type t = {
   col_tracks : int array;
 }
 
-(* mirror of Parallel.force_fork (same idiom as Sim_shard): under the
-   fork backend no domain may ever be spawned, so packing degrades to
-   the serial path *)
-let env_force_fork () =
-  match Sys.getenv_opt "MVL_FORCE_FORK" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 let create ?(jobs = 1) graph ~rows ~cols ~place =
   let t_place = Unix.gettimeofday () in
   let n = Graph.n graph in
@@ -119,9 +111,7 @@ let create ?(jobs = 1) graph ~rows ~cols ~place =
     done
   in
   let lines = rows + cols in
-  let jobs =
-    if jobs <= 1 || env_force_fork () then 1 else min jobs (max 1 lines)
-  in
+  let jobs = if jobs <= 1 then 1 else min jobs (max 1 lines) in
   if jobs = 1 then pack_range (Track_assign.scratch ()) 0 lines
   else begin
     let workers = Array.init jobs (fun w -> w) in

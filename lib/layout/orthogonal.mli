@@ -46,8 +46,7 @@ val create :
     not orthogonal), if the placement is not a bijection onto the grid,
     or if the grid size does not match [Graph.n].  [jobs > 1] shards the
     per-line track packing across a {!Mvl_pool.Domain_pool} (output is
-    identical at every job count; degraded to serial under
-    [MVL_FORCE_FORK]). *)
+    identical at every job count). *)
 
 val of_product :
   ?jobs:int -> row_factor:Collinear.t -> col_factor:Collinear.t -> Graph.t -> t

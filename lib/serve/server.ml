@@ -48,12 +48,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable coalesced : int;
-  (* one-line parse memo: a pipelined client repeating a request sends
-     byte-identical lines, and re-parsing them would dominate the
-     cached-hit path *)
-  mutable memo_line : string;
-  mutable memo_parsed :
-    (Protocol.request * string option, string) result;
   mutable stop : bool;
   mutable stop_at : float;
   (* shared with the worker domains *)
@@ -114,8 +108,6 @@ let create config =
     hits = 0;
     misses = 0;
     coalesced = 0;
-    memo_line = "";
-    memo_parsed = Error "empty request";
     stop = false;
     stop_at = 0.0;
     jobs = Queue.create ();
@@ -284,24 +276,11 @@ let stats_payload t =
 
 let shutdown_payload = "{\"schema\":\"mvl.serve.shutdown/1\"}"
 
-let parse_memo t line =
-  if String.equal line t.memo_line then t.memo_parsed
-  else begin
-    let parsed =
-      match Protocol.parse_request line with
-      | Error _ as e -> e
-      | Ok r -> Ok (r, Protocol.cache_key r.Protocol.op)
-    in
-    t.memo_line <- line;
-    t.memo_parsed <- parsed;
-    parsed
-  end
-
 let handle_request t c line =
   t.requests <- t.requests + 1;
-  match parse_memo t line with
+  match Protocol.parse_request line with
   | Error msg -> enqueue_line t c (Protocol.encode_reply_error ~id:0 msg)
-  | Ok ({ Protocol.id; op }, cache_key) -> (
+  | Ok { Protocol.id; op } -> (
       match op with
       | Protocol.Shutdown ->
           enqueue_line t c
@@ -315,7 +294,7 @@ let handle_request t c line =
           enqueue_line t c
             (Protocol.encode_reply_ok ~id ~payload:(stats_payload t))
       | _ -> (
-          let key = Option.get cache_key in
+          let key = Option.get (Protocol.cache_key op) in
           match Mvl.Cache.find_opt t.reply_cache key with
           | Some payload ->
               t.hits <- t.hits + 1;

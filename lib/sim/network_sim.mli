@@ -67,9 +67,8 @@ val run :
     node count) advancing in barrier-phased lockstep; the result is
     byte-identical to the serial engine for every [jobs] value — same
     counts, percentiles and histogram, enforced by the parity tests.
-    Omitted, [<= 1], or under [MVL_FORCE_FORK=1] (domains would
-    permanently disable the fork backend) the serial engine runs and no
-    domain is spawned. *)
+    Omitted or [<= 1], the serial engine runs and no domain is
+    spawned. *)
 
 val link_latency_of_layout :
   ?units_per_cycle:int -> Mvl_layout.Layout.t -> int -> int -> int

@@ -8,19 +8,10 @@
    That identity is what makes the phase-2 mailbox drain deterministic
    and byte-identical to serial (DESIGN.md §11). *)
 
-(* mirror of Parallel.force_fork, which lives above this library in the
-   dependency order: under the fork backend no domain may ever be
-   spawned (OCaml 5 permanently refuses [Unix.fork] afterwards), so the
-   engines must degrade to their serial path *)
-let env_force_fork () =
-  match Sys.getenv_opt "MVL_FORCE_FORK" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 let shards ~jobs ~n =
   match jobs with
   | None -> 1
-  | Some j -> if j <= 1 || env_force_fork () then 1 else min j (max 1 n)
+  | Some j -> if j <= 1 then 1 else min j (max 1 n)
 
 let bounds ~n ~shards w = ((w * n) / shards, ((w + 1) * n) / shards)
 

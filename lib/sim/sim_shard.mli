@@ -2,17 +2,10 @@
     simulator engines ({!Network_sim.run} / {!Wormhole.run} with
     [~jobs]). *)
 
-val env_force_fork : unit -> bool
-(** [true] when [MVL_FORCE_FORK] is set to [1]/[true]/[yes] — the same
-    test {!Mvl_core} applies when selecting the fork backend, repeated
-    here because the engines cannot depend on it.  Sharding is refused
-    under it: domains would permanently disable [Unix.fork]. *)
-
 val shards : jobs:int option -> n:int -> int
 (** Effective shard count for a [~jobs] request on [n] routers: [1]
-    (the serial path — no domain is spawned) when [jobs] is absent,
-    [<= 1], or [MVL_FORCE_FORK] is set (the fork worker pool cannot
-    coexist with domains); otherwise [min jobs n]. *)
+    (the serial path — no domain is spawned) when [jobs] is absent or
+    [<= 1]; otherwise [min jobs n]. *)
 
 val bounds : n:int -> shards:int -> int -> int * int
 (** [bounds ~n ~shards w] is the half-open router range [(lo, hi)] owned

@@ -71,9 +71,8 @@ val run :
 
     [jobs] shards the routers across that many domains (capped at the
     node count) in barrier-phased lockstep, byte-identical to the
-    serial engine for every value — see {!Network_sim.run}; omitted,
-    [<= 1], or under [MVL_FORCE_FORK=1] the serial engine runs and no
-    domain is spawned.  A [link_latency] used with [jobs > 1] must be
+    serial engine for every value — see {!Network_sim.run}; omitted or
+    [<= 1], the serial engine runs and no domain is spawned.  A [link_latency] used with [jobs > 1] must be
     callable from multiple domains at once. *)
 
 val graph_of_fabric : fabric -> Mvl_topology.Graph.t

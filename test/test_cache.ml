@@ -6,9 +6,9 @@
    [clock + freq * cost / size] entry with deterministic oldest-first
    tie-breaks, the clock inherits the victim's priority, and a
    candidate that ranks below every resident is the one rejected.
-   The duplicate-add case is the regression the old Bounded_fifo
-   policy carried: re-adding a resident key must not create a second
-   queue entry (a second eviction of the same key).
+   The duplicate-add case pins a regression queue-based eviction is
+   prone to: re-adding a resident key must not create a second queue
+   entry (a second eviction of the same key).
 
    The concurrent case drives Mvl.Pipeline.run for one (spec, layers)
    key from N domains at once: single-flight coalescing must build the
@@ -126,9 +126,9 @@ let test_byte_budget () =
   Alcotest.(check bool) "residents untouched" true (Cache.mem c 2)
 
 let test_duplicate_add_updates_in_place () =
-  (* the Bounded_fifo regression: re-adding a resident key must update
-     in place, not enqueue a duplicate whose eviction would remove the
-     key while a later queue entry still names it *)
+  (* re-adding a resident key must update in place, not enqueue a
+     duplicate whose eviction would remove the key while a later queue
+     entry still names it *)
   let c = mk ~capacity:2 () in
   ignore (Cache.add c "k" "v1" ~cost:1.0 ~size:1);
   ignore (Cache.add c "k" "v2" ~cost:1.0 ~size:1);

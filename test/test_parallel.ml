@@ -1,9 +1,8 @@
-(* The parallel runtime: every backend's output must be byte-identical
-   to the sequential path (modulo the volatile timing/cache fields),
-   merged in input order, with cache counters aggregated, exceptions
-   surfacing with sequential semantics, work actually stolen under a
-   skewed load (domains), and a crashed worker costing only its own
-   unreported jobs (fork). *)
+(* The parallel runtime: the domain pool's output must be
+   byte-identical to the sequential path (modulo the volatile
+   timing/cache fields) at every job count, merged in input order, with
+   cache counters aggregated, exceptions surfacing with sequential
+   semantics, and work actually stolen under a skewed load. *)
 open Mvl_core
 
 let stable json = Mvl.Telemetry.to_string (Mvl.Telemetry.strip_volatile json)
@@ -26,34 +25,22 @@ let record (spec, layers) =
   | Error msg -> Mvl.Telemetry.Obj [ ("error", Mvl.Telemetry.String msg) ]
 
 let test_parallel_matches_sequential () =
-  Mvl.Pipeline.cache_reset ();
-  let seq, _ = Mvl.Parallel.map ~jobs:1 ~f:record sweep_points in
-  Mvl.Pipeline.cache_reset ();
-  let par, _ = Mvl.Parallel.map ~jobs:4 ~f:record sweep_points in
-  Alcotest.(check int) "same record count" (List.length seq) (List.length par);
-  Alcotest.(check (list string)) "stable records byte-identical"
-    (List.map stable seq) (List.map stable par)
-
-let test_backends_agree () =
-  (* the determinism gate across the whole backend matrix: domains,
-     fork and sequential must produce byte-identical stable records.
-     The fork leg runs FIRST — once the domain backend has spawned a
-     domain, the runtime refuses Unix.fork for the process's lifetime *)
-  let on backend =
+  let on jobs =
     Mvl.Pipeline.cache_reset ();
-    let rs, _ = Mvl.Parallel.map ~backend ~jobs:3 ~f:record sweep_points in
-    List.map stable rs
+    fst (Mvl.Parallel.map ~jobs ~f:record sweep_points)
   in
-  let fork =
-    if Mvl.Parallel.available () then Some (on Mvl.Parallel.Fork) else None
-  in
-  let seq = on Mvl.Parallel.Sequential in
-  (match fork with
-  | Some fork ->
-      Alcotest.(check (list string)) "fork = sequential" seq fork
-  | None -> ());
-  Alcotest.(check (list string)) "domains = sequential" seq
-    (on Mvl.Parallel.Domains)
+  let seq = on 1 in
+  (* 3 workers deal the 8 points unevenly (3/3/2), 4 evenly *)
+  List.iter
+    (fun jobs ->
+      let par = on jobs in
+      Alcotest.(check int)
+        (Printf.sprintf "same record count (jobs %d)" jobs)
+        (List.length seq) (List.length par);
+      Alcotest.(check (list string))
+        (Printf.sprintf "stable records byte-identical (jobs %d)" jobs)
+        (List.map stable seq) (List.map stable par))
+    [ 3; 4 ]
 
 let test_merge_preserves_input_order () =
   Mvl.Pipeline.cache_reset ();
@@ -87,7 +74,6 @@ let test_worker_stats_aggregate () =
     stats.Mvl.Parallel.misses seq_stats.Mvl.Parallel.misses
 
 let test_exception_propagates () =
-  (* default (domains) backend *)
   Alcotest.check_raises "f's exception surfaces in the caller"
     (Failure "boom")
     (fun () ->
@@ -141,27 +127,19 @@ let test_split_seed () =
   Alcotest.(check bool) "seed-sensitive" true
     (a <> Mvl.Domain_pool.split_seed ~seed:43 ~index:0)
 
-let test_killed_worker_recovers () =
-  (* fork backend only: job 3's worker dies without reporting anything;
-     the parent must recompute every job the worker owned and still
-     return a full, input-ordered result list *)
-  let parent = Unix.getpid () in
-  let f i =
-    if i = 3 && Unix.getpid () <> parent then Unix._exit 9
-    else Mvl.Telemetry.Obj [ ("i", Mvl.Telemetry.Int i) ]
-  in
-  let inputs = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
-  let records, _ =
-    Mvl.Parallel.map ~backend:Mvl.Parallel.Fork ~jobs:4 ~f inputs
-  in
-  Alcotest.(check int) "all jobs answered" (List.length inputs)
-    (List.length records);
-  List.iter2
-    (fun i r ->
-      match Mvl.Telemetry.member "i" r with
-      | Some (Mvl.Telemetry.Int j) -> Alcotest.(check int) "in order" i j
-      | _ -> Alcotest.fail "malformed record")
-    inputs records
+(* the layout phase accumulator is domain-local: a construction on a
+   spawned domain (a serve worker, a Parallel.map job) must not leak
+   into the calling domain's phases *)
+let test_layout_profile_domain_local () =
+  Mvl.Layout_profile.reset ();
+  Domain.join
+    (Domain.spawn (fun () ->
+         Mvl.Layout_profile.reset ();
+         Mvl.Layout_profile.record Mvl.Layout_profile.Place 1.0;
+         Alcotest.(check (float 0.0)) "recorded on its own domain" 1.0
+           (Mvl.Layout_profile.snapshot ()).Mvl.Layout_profile.place_seconds));
+  Alcotest.(check (float 0.0)) "absent from the main domain" 0.0
+    (Mvl.Layout_profile.snapshot ()).Mvl.Layout_profile.place_seconds
 
 let test_small_inputs () =
   let f i = Mvl.Telemetry.Obj [ ("i", Mvl.Telemetry.Int i) ] in
@@ -241,15 +219,8 @@ let test_gang_failure_breaks_barrier () =
   Alcotest.(check int) "both peers woke with Broken" 2
     (Atomic.get broken_seen)
 
-(* order matters: the fork-backend cases must run before anything that
-   spawns a domain — the runtime permanently disables Unix.fork after
-   the first Domain.spawn, and this suite is registered first in
-   main.ml for the same reason *)
 let suite =
   [
-    Alcotest.test_case "killed fork worker recovers" `Quick
-      test_killed_worker_recovers;
-    Alcotest.test_case "all backends byte-identical" `Quick test_backends_agree;
     Alcotest.test_case "parallel matches sequential (stable form)" `Quick
       test_parallel_matches_sequential;
     Alcotest.test_case "merge preserves input order" `Quick
@@ -263,9 +234,10 @@ let suite =
     Alcotest.test_case "skewed load is stolen" `Quick test_work_stealing;
     Alcotest.test_case "split_seed streams" `Quick test_split_seed;
     Alcotest.test_case "empty and singleton inputs" `Quick test_small_inputs;
+    Alcotest.test_case "layout phases are domain-local" `Quick
+      test_layout_profile_domain_local;
     Alcotest.test_case "default job count bounds" `Quick
       test_default_jobs_bounds;
-    (* gang/barrier cases spawn domains — keep them after the fork ones *)
     Alcotest.test_case "barrier basics" `Quick test_barrier_basics;
     Alcotest.test_case "gang lockstep phases" `Quick test_gang_lockstep;
     Alcotest.test_case "gang failure breaks barrier" `Quick

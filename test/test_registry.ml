@@ -144,58 +144,32 @@ let test_cache_bypass () =
   Alcotest.(check int) "bypass leaves counters untouched" 0
     (s.Mvl.Pipeline.misses + s.Mvl.Pipeline.hits)
 
-(* --- bounded FIFO (bugfix: re-insert left a duplicate queue entry,
-   so eviction popped the stale duplicate and removed a live key while
-   the queue grew without bound relative to the table) ---------------- *)
+(* --- the family/layout cache policy: with equal cost and size, GDSF
+   ranks ties oldest-insertion-first, i.e. evicts first-in first-out -- *)
 
-let test_fifo_reinsert_survives_eviction () =
-  let c = Mvl.Bounded_fifo.create ~capacity:3 in
-  Mvl.Bounded_fifo.add c "k" 1;
-  Mvl.Bounded_fifo.add c "b" 2;
-  (* re-insert while resident: refreshes the value and queue position *)
-  Mvl.Bounded_fifo.add c "k" 10;
-  Alcotest.(check int) "no duplicate queue entry after re-insert"
-    (Mvl.Bounded_fifo.length c)
-    (Mvl.Bounded_fifo.order_length c);
-  Alcotest.(check (option int)) "re-insert updates the value" (Some 10)
-    (Mvl.Bounded_fifo.find_opt c "k");
-  (* fill to capacity, then overflow by one *)
-  Mvl.Bounded_fifo.add c "c" 3;
-  Mvl.Bounded_fifo.add c "d" 4;
-  Alcotest.(check bool) "re-inserted key survives the eviction" true
-    (Mvl.Bounded_fifo.mem c "k");
-  Alcotest.(check bool) "oldest untouched key was evicted" false
-    (Mvl.Bounded_fifo.mem c "b");
-  Alcotest.(check int) "table stays at capacity" 3
-    (Mvl.Bounded_fifo.length c);
-  Alcotest.(check int) "queue length equals table length" 3
-    (Mvl.Bounded_fifo.order_length c)
+let add_unit c k v = ignore (Mvl.Cache.add c k v ~cost:1.0 ~size:1)
 
 let test_fifo_eviction_order () =
-  let c = Mvl.Bounded_fifo.create ~capacity:2 in
-  Mvl.Bounded_fifo.add c "a" 1;
-  Mvl.Bounded_fifo.add c "b" 2;
-  Mvl.Bounded_fifo.add c "c" 3;
-  Alcotest.(check bool) "first-in is first-out" false
-    (Mvl.Bounded_fifo.mem c "a");
+  let c = Mvl.Cache.create ~capacity:2 () in
+  add_unit c "a" 1;
+  add_unit c "b" 2;
+  add_unit c "c" 3;
+  Alcotest.(check bool) "first-in is first-out" false (Mvl.Cache.mem c "a");
   Alcotest.(check (option string)) "next victim is the older survivor"
-    (Some "b") (Mvl.Bounded_fifo.oldest c)
+    (Some "b") (Mvl.Cache.victim c)
 
 let test_fifo_capacity_zero_and_shrink () =
-  let off = Mvl.Bounded_fifo.create ~capacity:0 in
-  Mvl.Bounded_fifo.add off "a" 1;
+  let off = Mvl.Cache.create ~capacity:0 () in
+  add_unit off "a" 1;
   Alcotest.(check int) "capacity 0 disables insertion" 0
-    (Mvl.Bounded_fifo.length off);
-  let c = Mvl.Bounded_fifo.create ~capacity:4 in
-  List.iter (fun (k, v) -> Mvl.Bounded_fifo.add c k v)
+    (Mvl.Cache.length off);
+  let c = Mvl.Cache.create ~capacity:4 () in
+  List.iter (fun (k, v) -> add_unit c k v)
     [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ];
-  Mvl.Bounded_fifo.set_capacity c 2;
-  Alcotest.(check int) "shrink evicts immediately" 2
-    (Mvl.Bounded_fifo.length c);
+  Mvl.Cache.set_capacity c 2;
+  Alcotest.(check int) "shrink evicts immediately" 2 (Mvl.Cache.length c);
   Alcotest.(check bool) "oldest entries went first" true
-    (Mvl.Bounded_fifo.mem c "c" && Mvl.Bounded_fifo.mem c "d");
-  Alcotest.(check int) "queue mirrors table after shrink" 2
-    (Mvl.Bounded_fifo.order_length c)
+    (Mvl.Cache.mem c "c" && Mvl.Cache.mem c "d")
 
 let test_pipeline_stages () =
   Mvl.Pipeline.cache_reset ();
@@ -214,6 +188,19 @@ let test_pipeline_stages () =
     (List.length r.Mvl.Pipeline.timings);
   Alcotest.(check bool) "total time is finite and non-negative" true
     (Mvl.Pipeline.total_seconds r >= 0.0)
+
+(* place and pack run inside the product family's construction, so the
+   phase accumulator must be reset before the family build, not after
+   it — otherwise both read 0 in every record *)
+let test_pipeline_phases_cover_family_build () =
+  let r = Mvl.Pipeline.run_exn ~cache:false ~layers:4 "hypercube:10" in
+  match r.Mvl.Pipeline.layout_phases with
+  | None -> Alcotest.fail "an uncached run must report layout phases"
+  | Some p ->
+      Alcotest.(check bool) "place + pack measured" true
+        (p.Mvl.Layout_profile.place_seconds
+         +. p.Mvl.Layout_profile.pack_seconds
+        > 0.0)
 
 let test_pipeline_error_paths () =
   (match Mvl.Pipeline.run_string ~layers:2 "hypercube:abc" with
@@ -243,8 +230,6 @@ let suite =
     Alcotest.test_case "cache: layer sweep builds each L once" `Quick
       test_cache_layer_sweep_constructs_each_once;
     Alcotest.test_case "cache: bypass mode" `Quick test_cache_bypass;
-    Alcotest.test_case "cache: re-insert leaves no stale duplicate" `Quick
-      test_fifo_reinsert_survives_eviction;
     Alcotest.test_case "cache: FIFO eviction order" `Quick
       test_fifo_eviction_order;
     Alcotest.test_case "cache: capacity zero and shrink" `Quick
@@ -252,4 +237,6 @@ let suite =
     Alcotest.test_case "pipeline stages and timings" `Quick
       test_pipeline_stages;
     Alcotest.test_case "pipeline error paths" `Quick test_pipeline_error_paths;
+    Alcotest.test_case "pipeline phases include place and pack" `Quick
+      test_pipeline_phases_cover_family_build;
   ]
