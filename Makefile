@@ -63,6 +63,10 @@ check: lint
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_jobs2.json
 	cmp SIM_jobs1.json SIM_jobs2.json
 	rm -f SIM_jobs1.json SIM_jobs2.json
+	dune exec bin/mvl_cli.exe -- wormhole torus:8:2 --adaptive --load 0.05 --jobs 1 > WH_jobs1.txt
+	dune exec bin/mvl_cli.exe -- wormhole torus:8:2 --adaptive --load 0.05 --jobs 3 > WH_jobs3.txt
+	cmp WH_jobs1.txt WH_jobs3.txt
+	rm -f WH_jobs1.txt WH_jobs3.txt
 	dune exec bench/main.exe -- throughput --quick -o BENCH_sim_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.sim/1"' BENCH_sim_quick.json
 	dune exec bench/main.exe -- throughput --quick --jobs 1 --stable -o BENCH_sim_jobs1.json > /dev/null

@@ -159,7 +159,7 @@ let measure_scaling p ~pattern =
     in
     if r <> base_r then (
       Printf.eprintf
-        "bench throughput: sharded run (--jobs %d) diverged from serial on \
+        "bench throughput: sharded run (--jobs %d) diverged from --jobs 1 on \
          %s load=%.2f — engine byte-identity violated\n"
         jobs spec_str load;
       exit 1);

@@ -634,8 +634,8 @@ let sim_cmd =
           ~doc:
             "Shard the simulated routers over $(docv) domains advancing \
              in barrier-phased lockstep.  Statistics are byte-identical \
-             to the serial engine for every $(docv) (absent or 1 runs \
-             the serial engine and spawns no domain).")
+             for every $(docv) (absent or 1 runs one shard on the calling \
+             domain and spawns no domain).")
   in
   let stable_arg =
     Arg.(
@@ -755,14 +755,21 @@ let wormhole_cmd =
   let fabric_conv =
     Arg.conv
       ( (fun s ->
+          let bad =
+            Error
+              (`Msg "expected hypercube:N (N >= 1) or torus:K:N (K >= 2, N >= 1)")
+          in
           match String.split_on_char ':' s with
-          | [ "hypercube"; n ] ->
-              Ok (Mvl.Wormhole.Hypercube (int_of_string n))
-          | [ "torus"; k; n ] ->
-              Ok
-                (Mvl.Wormhole.Torus
-                   { k = int_of_string k; n = int_of_string n })
-          | _ -> Error (`Msg "expected hypercube:N or torus:K:N")),
+          | [ "hypercube"; n ] -> (
+              match int_of_string_opt n with
+              | Some n when n >= 1 -> Ok (Mvl.Wormhole.Hypercube n)
+              | _ -> bad)
+          | [ "torus"; k; n ] -> (
+              match (int_of_string_opt k, int_of_string_opt n) with
+              | Some k, Some n when k >= 2 && n >= 1 ->
+                  Ok (Mvl.Wormhole.Torus { k; n })
+              | _ -> bad)
+          | _ -> bad),
         fun ppf f ->
           match f with
           | Mvl.Wormhole.Hypercube n -> Format.fprintf ppf "hypercube:%d" n
@@ -798,8 +805,9 @@ let wormhole_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Shard the routers over $(docv) domains in barrier-phased \
-             lockstep; statistics are byte-identical to the serial \
-             engine for every $(docv).")
+             lockstep; statistics are byte-identical for every $(docv) \
+             (absent or 1 runs one shard on the calling domain and spawns \
+             no domain).")
   in
   let run fabric load adaptive vcs jobs =
     let cfg =
@@ -810,8 +818,11 @@ let wormhole_cmd =
            else Mvl.Wormhole.Deterministic);
         vcs }
     in
-    let r = Mvl.Wormhole.run ~config:cfg ?jobs fabric in
-    Format.printf "%a@." Mvl.Wormhole.pp_result r
+    match Mvl.Wormhole.run ~config:cfg ?jobs fabric with
+    | r -> Format.printf "%a@." Mvl.Wormhole.pp_result r
+    | exception Invalid_argument msg ->
+        Printf.eprintf "mvl: %s\n" msg;
+        exit 2
   in
   Cmd.v
     (Cmd.info "wormhole"

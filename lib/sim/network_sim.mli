@@ -63,12 +63,12 @@ val run :
     [jobs > 1], callable from multiple domains at once (pure functions
     and {!link_latency_of_layout} closures qualify).
 
-    [jobs] shards the routers across that many domains (capped at the
-    node count) advancing in barrier-phased lockstep; the result is
-    byte-identical to the serial engine for every [jobs] value — same
-    counts, percentiles and histogram, enforced by the parity tests.
-    Omitted or [<= 1], the serial engine runs and no domain is
-    spawned. *)
+    There is one engine.  [jobs] shards the routers across that many
+    domains (capped at the node count) advancing in barrier-phased
+    lockstep; omitted or [<= 1], it runs at one shard on the calling
+    domain and no domain is spawned.  The result is byte-identical for
+    every [jobs] value — same counts, percentiles and histogram, pinned
+    by the fixed-seed golden tests at jobs 1 to 4. *)
 
 val link_latency_of_layout :
   ?units_per_cycle:int -> Mvl_layout.Layout.t -> int -> int -> int

@@ -1,12 +1,12 @@
-(* Shard-count policy and router partition shared by both sharded
-   simulator engines.
+(* Shard-count policy and router partition shared by both simulator
+   engines.
 
    The contiguous even partition [w*n/S, (w+1)*n/S) is load-balanced to
    within one router and — because shard ranges ascend with the shard
    index — concatenating per-shard event streams in ascending shard
-   order reproduces the serial engine's global ascending-router order.
-   That identity is what makes the phase-2 mailbox drain deterministic
-   and byte-identical to serial (DESIGN.md §11). *)
+   order reproduces the global ascending-router order.  That identity
+   is what makes the phase-2 drain deterministic and the stats
+   byte-identical at every shard count (DESIGN.md §11). *)
 
 let shards ~jobs ~n =
   match jobs with

@@ -66,13 +66,16 @@ val run :
   ?jobs:int ->
   fabric ->
   result
-(** Simulates the fabric; raises [Invalid_argument] for a torus with
-    fewer than 2 VCs.
+(** Simulates the fabric.  Raises [Invalid_argument] for a fabric that
+    cannot be built (a hypercube with fewer than 1 dimension, a torus
+    with [k < 2] or [n < 1]), for [packet_len < 1], and for too few VCs
+    (a torus needs 2, 3 when adaptive; an adaptive hypercube 2).
 
     [jobs] shards the routers across that many domains (capped at the
-    node count) in barrier-phased lockstep, byte-identical to the
-    serial engine for every value — see {!Network_sim.run}; omitted or
-    [<= 1], the serial engine runs and no domain is spawned.  A [link_latency] used with [jobs > 1] must be
-    callable from multiple domains at once. *)
+    node count) in barrier-phased lockstep, byte-identical for every
+    value — see {!Network_sim.run}; omitted or [<= 1], the one engine
+    runs at one shard on the calling domain and no domain is spawned.
+    A [link_latency] used with [jobs > 1] must be callable from multiple
+    domains at once. *)
 
 val graph_of_fabric : fabric -> Mvl_topology.Graph.t

@@ -137,7 +137,7 @@ let test_record_schema_golden () =
   Alcotest.check json_testable "record re-parses" j
     (parse_exn (Mvl.Telemetry.to_string ~pretty:true j))
 
-let test_cached_run_serializes_from_cache () =
+let test_cached_pipeline_serializes_from_cache () =
   Mvl.Pipeline.cache_reset ();
   ignore (Mvl.Pipeline.run_exn ~layers:3 "kary:3:2");
   let r = Mvl.Pipeline.run_exn ~layers:3 "kary:3:2" in
@@ -305,7 +305,7 @@ let suite =
       test_parse_rejects_malformed;
     Alcotest.test_case "record schema golden" `Quick test_record_schema_golden;
     Alcotest.test_case "cached run serializes from_cache" `Quick
-      test_cached_run_serializes_from_cache;
+      test_cached_pipeline_serializes_from_cache;
     Alcotest.test_case "validity three states" `Quick
       test_validity_three_states;
     Alcotest.test_case "unvalidated broken run not valid" `Quick

@@ -47,6 +47,26 @@ let test_torus_needs_two_vcs () =
     Alcotest.fail "single-VC torus accepted"
   with Invalid_argument _ -> ()
 
+(* fabrics the simulator cannot build: rejected up front by
+   [Wormhole.run] itself rather than dying inside the graph constructor
+   or the traffic draw with an unrelated message *)
+let test_bad_fabrics_rejected () =
+  List.iter
+    (fun (name, fabric) ->
+      match Mvl.Wormhole.run fabric with
+      | _ -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s rejected by Wormhole.run (%s)" name msg)
+            true
+            (String.starts_with ~prefix:"Wormhole: " msg))
+    [
+      ("hypercube:0", Mvl.Wormhole.Hypercube 0);
+      ("hypercube:-1", Mvl.Wormhole.Hypercube (-1));
+      ("torus:1:2", Mvl.Wormhole.Torus { k = 1; n = 2 });
+      ("torus:4:0", Mvl.Wormhole.Torus { k = 4; n = 0 });
+    ]
+
 let test_deterministic () =
   let a = run_with () and b = run_with () in
   Alcotest.(check bool) "reproducible" true (a = b)
@@ -108,55 +128,67 @@ let test_adaptive_vc_requirements () =
     Alcotest.fail "1-VC adaptive hypercube accepted"
   with Invalid_argument _ -> ()
 
-(* fixed-seed golden statistics, captured from the original list-based
-   router before the zero-allocation rewrite: the histogram hash pins
+(* fixed-seed golden statistics, the engine's reference: the first
+   three were captured from the original list-based router before the
+   zero-allocation rewrite and never re-pinned; the histogram hash pins
    every delivered packet's latency, so any change to VC arbitration
-   order or candidate sorting shows up here *)
+   order or candidate sorting shows up here.  Every golden runs at each
+   of [golden_jobs]; 3 shards split 16 or 32 routers unevenly. *)
+let golden_jobs = [ 1; 2; 3; 4 ]
+
 let hash_hist pairs =
   Array.fold_left
     (fun h (lat, cnt) -> (((h * 1000003) + (lat * 8191) + cnt) land max_int))
     0 pairs
 
-let check_golden name (r : Mvl.Wormhole.result) ~injected ~delivered ~p50
-    ~p95 ~p99 ~max ~hist_hash =
-  Alcotest.(check int) (name ^ " injected") injected r.Mvl.Wormhole.injected;
-  Alcotest.(check int) (name ^ " delivered") delivered r.Mvl.Wormhole.delivered;
-  Alcotest.(check int)
-    (name ^ " undrained")
-    (injected - delivered)
-    r.Mvl.Wormhole.undrained;
-  Alcotest.(check int) (name ^ " p50") p50 r.Mvl.Wormhole.p50_latency;
-  Alcotest.(check int) (name ^ " p95") p95 r.Mvl.Wormhole.p95_latency;
-  Alcotest.(check int) (name ^ " p99") p99 r.Mvl.Wormhole.p99_latency;
-  Alcotest.(check int) (name ^ " max") max r.Mvl.Wormhole.max_latency;
-  Alcotest.(check int)
-    (name ^ " histogram hash") hist_hash
-    (hash_hist r.Mvl.Wormhole.latency_histogram)
+let check_golden name run ~jobs ~injected ~delivered ~p50 ~p95 ~p99 ~max
+    ~hist_hash =
+  List.iter
+    (fun j ->
+      let (r : Mvl.Wormhole.result) = run ~jobs:j in
+      let name = Printf.sprintf "%s jobs=%d" name j in
+      Alcotest.(check int) (name ^ " injected") injected r.Mvl.Wormhole.injected;
+      Alcotest.(check int)
+        (name ^ " delivered") delivered r.Mvl.Wormhole.delivered;
+      Alcotest.(check int)
+        (name ^ " undrained")
+        (injected - delivered)
+        r.Mvl.Wormhole.undrained;
+      Alcotest.(check int) (name ^ " p50") p50 r.Mvl.Wormhole.p50_latency;
+      Alcotest.(check int) (name ^ " p95") p95 r.Mvl.Wormhole.p95_latency;
+      Alcotest.(check int) (name ^ " p99") p99 r.Mvl.Wormhole.p99_latency;
+      Alcotest.(check int) (name ^ " max") max r.Mvl.Wormhole.max_latency;
+      Alcotest.(check int)
+        (name ^ " histogram hash") hist_hash
+        (hash_hist r.Mvl.Wormhole.latency_histogram))
+    jobs
+
+let ecube_cfg =
+  { Mvl.Wormhole.default_config with
+    Mvl.Wormhole.offered_load = 0.03; warmup = 100; measure = 400;
+    drain = 2000; seed = 2 }
 
 let test_golden_hypercube_ecube () =
-  let cfg =
-    { Mvl.Wormhole.default_config with
-      Mvl.Wormhole.offered_load = 0.03; warmup = 100; measure = 400;
-      drain = 2000; seed = 2 }
-  in
   check_golden "wh hypercube/e-cube"
-    (Mvl.Wormhole.run ~config:cfg (Mvl.Wormhole.Hypercube 5))
-    ~injected:386 ~delivered:386 ~p50:6 ~p95:10 ~p99:11 ~max:14
-    ~hist_hash:3420119115101005763
+    (fun ~jobs -> Mvl.Wormhole.run ~config:ecube_cfg ~jobs (Mvl.Wormhole.Hypercube 5))
+    ~jobs:golden_jobs ~injected:386 ~delivered:386 ~p50:6 ~p95:10 ~p99:11
+    ~max:14 ~hist_hash:3420119115101005763
+
+(* adaptive + datelines + 3 VCs: the candidate-scan ordering and the
+   credit-sorted stable arbitration are all on this path *)
+let adaptive_cfg =
+  { Mvl.Wormhole.default_config with
+    Mvl.Wormhole.routing = Mvl.Wormhole.Adaptive; vcs = 3;
+    traffic = Mvl.Traffic.Transpose; offered_load = 0.05; warmup = 100;
+    measure = 400; drain = 2000; seed = 5 }
 
 let test_golden_torus_adaptive () =
-  (* adaptive + datelines + 3 VCs: the candidate-scan ordering and the
-     credit-sorted stable arbitration are all on this path *)
-  let cfg =
-    { Mvl.Wormhole.default_config with
-      Mvl.Wormhole.routing = Mvl.Wormhole.Adaptive; vcs = 3;
-      traffic = Mvl.Traffic.Transpose; offered_load = 0.05; warmup = 100;
-      measure = 400; drain = 2000; seed = 5 }
-  in
   check_golden "wh torus/adaptive"
-    (Mvl.Wormhole.run ~config:cfg (Mvl.Wormhole.Torus { k = 4; n = 2 }))
-    ~injected:345 ~delivered:345 ~p50:5 ~p95:11 ~p99:16 ~max:19
-    ~hist_hash:2103898282786443092
+    (fun ~jobs ->
+      Mvl.Wormhole.run ~config:adaptive_cfg ~jobs
+        (Mvl.Wormhole.Torus { k = 4; n = 2 }))
+    ~jobs:golden_jobs ~injected:345 ~delivered:345 ~p50:5 ~p95:11 ~p99:16
+    ~max:19 ~hist_hash:2103898282786443092
 
 (* past saturation with a drain too short to empty the fabric: the
    horizon expires with worms still in flight, which must be reported
@@ -167,44 +199,68 @@ let undrained_cfg =
     seed = 13 }
 
 let test_golden_torus_undrained () =
-  let r = Mvl.Wormhole.run ~config:undrained_cfg (Mvl.Wormhole.Torus { k = 4; n = 2 }) in
+  let run ~jobs =
+    Mvl.Wormhole.run ~config:undrained_cfg ~jobs
+      (Mvl.Wormhole.Torus { k = 4; n = 2 })
+  in
   Alcotest.(check bool) "horizon leaves worms in flight" true
-    (r.Mvl.Wormhole.undrained > 0);
-  check_golden "wh torus/undrained" r ~injected:662 ~delivered:524
-    ~p50:29 ~p95:67 ~p99:85 ~max:106
+    ((run ~jobs:1).Mvl.Wormhole.undrained > 0);
+  check_golden "wh torus/undrained" run ~jobs:golden_jobs ~injected:662
+    ~delivered:524 ~p50:29 ~p95:67 ~p99:85 ~max:106
     ~hist_hash:1399783060572037098
 
-(* the sharded wormhole engine's contract mirrors {!Network_sim}'s:
-   full-record equality with the serial engine at every jobs value,
-   over deterministic e-cube, adaptive + datelines, and an overloaded
-   run with undrained worms *)
-let test_sharded_matches_serial () =
+(* non-unit link latencies: flits and credits land in wheel slots past
+   [now + 1], on the same shard and across shards.  Captured from the
+   standalone single-domain engine before it was folded into the
+   sharded one. *)
+let latency_link u v = 1 + ((u + v) mod 3)
+
+let latency_cfg =
+  { Mvl.Wormhole.default_config with
+    Mvl.Wormhole.routing = Mvl.Wormhole.Adaptive; vcs = 3;
+    offered_load = 0.08; warmup = 100; measure = 400; drain = 2000;
+    seed = 17 }
+
+let test_golden_torus_link_latency () =
+  check_golden "wh torus/link latency"
+    (fun ~jobs ->
+      Mvl.Wormhole.run ~config:latency_cfg ~link_latency:latency_link ~jobs
+        (Mvl.Wormhole.Torus { k = 4; n = 2 }))
+    ~jobs:golden_jobs ~injected:503 ~delivered:503 ~p50:9 ~p95:15 ~p99:18
+    ~max:25 ~hist_hash:2779557968558367831
+
+(* the sharding contract mirrors {!Network_sim}'s: full-record equality
+   with the one-shard run at every jobs value, over deterministic
+   e-cube, adaptive + datelines, an overloaded run with undrained worms
+   and non-unit link latencies *)
+let test_sharded_matches_one_shard () =
   let configs =
     [
-      ( "wh hypercube/e-cube",
-        { Mvl.Wormhole.default_config with
-          Mvl.Wormhole.offered_load = 0.03; warmup = 100; measure = 400;
-          drain = 2000; seed = 2 },
-        Mvl.Wormhole.Hypercube 5 );
+      ("wh hypercube/e-cube", ecube_cfg, None, Mvl.Wormhole.Hypercube 5);
       ( "wh torus/adaptive",
-        { Mvl.Wormhole.default_config with
-          Mvl.Wormhole.routing = Mvl.Wormhole.Adaptive; vcs = 3;
-          traffic = Mvl.Traffic.Transpose; offered_load = 0.05; warmup = 100;
-          measure = 400; drain = 2000; seed = 5 },
+        adaptive_cfg,
+        None,
         Mvl.Wormhole.Torus { k = 4; n = 2 } );
-      ("wh torus/undrained", undrained_cfg, Mvl.Wormhole.Torus { k = 4; n = 2 });
+      ( "wh torus/undrained",
+        undrained_cfg,
+        None,
+        Mvl.Wormhole.Torus { k = 4; n = 2 } );
+      ( "wh torus/link latency",
+        latency_cfg,
+        Some latency_link,
+        Mvl.Wormhole.Torus { k = 4; n = 2 } );
     ]
   in
   List.iter
-    (fun (name, config, fabric) ->
-      let serial = Mvl.Wormhole.run ~config fabric in
+    (fun (name, config, link_latency, fabric) ->
+      let one = Mvl.Wormhole.run ~config ?link_latency ~jobs:1 fabric in
       List.iter
         (fun jobs ->
-          let sharded = Mvl.Wormhole.run ~config ~jobs fabric in
+          let sharded = Mvl.Wormhole.run ~config ?link_latency ~jobs fabric in
           Alcotest.(check bool)
-            (Printf.sprintf "%s sharded=serial at jobs=%d" name jobs)
-            true (sharded = serial))
-        [ 2; 4 ])
+            (Printf.sprintf "%s jobs=%d equals jobs=1" name jobs)
+            true (sharded = one))
+        [ 2; 3; 4 ])
     configs
 
 let test_graph_of_fabric () =
@@ -226,6 +282,7 @@ let suite =
     Alcotest.test_case "no deadlock under stress" `Slow
       test_no_deadlock_under_stress;
     Alcotest.test_case "torus needs 2 VCs" `Quick test_torus_needs_two_vcs;
+    Alcotest.test_case "bad fabrics rejected" `Quick test_bad_fabrics_rejected;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "layout latencies matter" `Quick
       test_layout_latencies_matter;
@@ -240,7 +297,9 @@ let suite =
       test_golden_torus_adaptive;
     Alcotest.test_case "golden: torus undrained" `Quick
       test_golden_torus_undrained;
-    Alcotest.test_case "sharded engine matches serial" `Quick
-      test_sharded_matches_serial;
+    Alcotest.test_case "golden: torus link latency" `Quick
+      test_golden_torus_link_latency;
+    Alcotest.test_case "sharded engine matches one shard" `Quick
+      test_sharded_matches_one_shard;
     Alcotest.test_case "fabric graphs" `Quick test_graph_of_fabric;
   ]
