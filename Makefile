@@ -17,6 +17,9 @@ test:
 # A Mutex.lock not immediately followed by Fun.protect leaks the lock
 # if the critical section raises — library code must go through a
 # with_lock-style helper built on that idiom.
+# Sys.time is the process's CPU time, summed over every domain, so a
+# phase timed with it under --jobs N reads N times too long; time with
+# the wall clock (Unix.gettimeofday).
 lint:
 	@! grep -rEn '(^|[^.A-Za-z0-9_])(compare|Hashtbl\.hash)([^A-Za-z0-9_]|$$)' \
 		lib --include='*.ml' \
@@ -30,6 +33,8 @@ lint:
 	@! grep -rEn "\([^(),]*\*[^(),]*,[^()]*\) *Hashtbl\.t" \
 		lib --include='*.ml' --include='*.mli' \
 		|| { echo "lint: tuple-keyed Hashtbl type in lib/ (pack the key into an int)"; exit 1; }
+	@! grep -rn 'Sys\.time' lib --include='*.ml' \
+		|| { echo "lint: Sys.time (process CPU time) in lib/; use a wall clock"; exit 1; }
 	@bad=0; for f in $$(grep -rl 'Mutex\.lock' lib --include='*.ml'); do \
 		awk 'flag && !/Fun\.protect/ { print FILENAME ":" FNR-1 \
 			": Mutex.lock without Fun.protect on the next line"; bad=1 } \

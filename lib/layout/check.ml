@@ -32,11 +32,12 @@ let overfull c = c.count >= c.limit
 
 (* Struct-of-arrays segment indexes read straight out of the layout's
    Geom columns: one parallel-array entry per segment, sorted by
-   (k1, k2, lo, hi, wire), so a (k1, k2) group is a contiguous slice
-   found by binary search and entries within a group are already in
+   (k1, k2, lo) with ties in generation order, so a (k1, k2) group is a
+   contiguous slice and entries within a group are already in
    ascending-lo sweep order.  No Segment or Point record is ever
    allocated — classification happens on the raw coordinate columns and
-   every scan below walks flat int arrays linearly. *)
+   every pass below walks flat int arrays in order, merging sorted
+   sequences with forward cursors rather than searching per probe. *)
 type runs = {
   n : int;
   k1 : int array;
@@ -77,7 +78,7 @@ let zindex_of (r : runs) =
   for i = 0 to r.n - 1 do
     if i = 0 || r.k1.(i) <> r.k1.(i - 1) then incr nz
   done;
-  let zs = Array.make (max 1 !nz) 0 in
+  let zs = Array.make (Int.max 1 !nz) 0 in
   let bstart = Array.make (!nz + 1) r.n in
   let j = ref 0 in
   for i = 0 to r.n - 1 do
@@ -96,13 +97,6 @@ let zbucket zi k1 =
   if p < nz && zi.zs.(p) = k1 then (zi.bstart.(p), zi.bstart.(p + 1))
   else (0, 0)
 
-(* the contiguous slice [start, stop) holding group (k1, k2) *)
-let group_range (r : runs) zi k1 k2 =
-  let s, e = zbucket zi k1 in
-  let start = lb_ge r.k2 s e k2 in
-  let stop = lb_gt r.k2 start e k2 in
-  (start, stop)
-
 type indexes = {
   h_runs : runs; (* k1 = z, k2 = y, lo/hi = x span *)
   v_runs : runs; (* k1 = z, k2 = x, lo/hi = y span *)
@@ -111,15 +105,14 @@ type indexes = {
   v_z : zindex;
 }
 
-let make_runs n =
-  {
-    n;
-    k1 = Array.make (max 1 n) 0;
-    k2 = Array.make (max 1 n) 0;
-    lo = Array.make (max 1 n) 0;
-    hi = Array.make (max 1 n) 0;
-    wire = Array.make (max 1 n) 0;
-  }
+(* least and greatest of a.(0 .. n-1) *)
+let range (a : int array) n =
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    if a.(i) < !lo then lo := a.(i);
+    if a.(i) > !hi then hi := a.(i)
+  done;
+  (!lo, !hi)
 
 let bits_for range =
   let b = ref 0 in
@@ -128,170 +121,234 @@ let bits_for range =
   done;
   !b
 
-(* Sort non-negative packed keys, returning the sorted array (the input
-   or a scratch buffer).  LSD radix in 16-bit digits: linear passes beat
-   a comparison sort well before 10^5 entries, and packed keys make the
-   digit extraction one shift+mask. *)
-let radix_sort keys nbits =
+(* Stable LSD radix sort of non-negative packed keys on their bits
+   [from, nbits), using [scratch] (as long as [keys]) as the second
+   buffer.  The sorted keys end up in one of the two, and the other is
+   left free for the caller.  [carry] = (words, words_scratch) moves one
+   word per key along with it, ping-ponging the same way: the sorted
+   words are in [words] iff the sorted keys are in [keys].  Callers
+   pack the entry index into the low [from] bits, or carry what they
+   need, and stability keeps equal keys in input order.  Digits are at
+   most 11 bits wide, spread evenly over the passes: small enough that
+   the count table and the scatter's write fronts stay cache-resident,
+   and packed keys make the digit extraction one shift+mask. *)
+let radix_sort ?carry keys ~scratch ~from nbits =
   let n = Array.length keys in
-  if n < 2048 then begin
-    Array.sort Int.compare keys;
-    keys
-  end
-  else begin
-    let count = Array.make 0x10000 0 in
-    let src = ref keys and dst = ref (Array.make n 0) in
-    let shift = ref 0 in
-    while !shift < nbits do
-      let s = !src and d = !dst in
-      Array.fill count 0 0x10000 0;
+  let passes = (nbits - from + 10) / 11 in
+  let src = ref keys and dst = ref scratch in
+  let carrying, words, words_scratch =
+    match carry with
+    | Some (w, ws) -> (true, w, ws)
+    | None -> (false, [||], [||])
+  in
+  let wsrc = ref words and wdst = ref words_scratch in
+  if passes > 0 then begin
+    let digit = (nbits - from + passes - 1) / passes in
+    let mask = (1 lsl digit) - 1 in
+    let count = Array.make (mask + 1) 0 in
+    let shift = ref from in
+    for _ = 1 to passes do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 (mask + 1) 0;
       for i = 0 to n - 1 do
-        let c = (s.(i) lsr !shift) land 0xffff in
+        let c = (s.(i) lsr sh) land mask in
         count.(c) <- count.(c) + 1
       done;
       let sum = ref 0 in
-      for c = 0 to 0xffff do
+      for c = 0 to mask do
         let k = count.(c) in
         count.(c) <- !sum;
         sum := !sum + k
       done;
-      for i = 0 to n - 1 do
-        let c = (s.(i) lsr !shift) land 0xffff in
-        d.(count.(c)) <- s.(i);
-        count.(c) <- count.(c) + 1
-      done;
+      if not carrying then
+        for i = 0 to n - 1 do
+          let k = s.(i) in
+          let c = (k lsr sh) land mask in
+          d.(count.(c)) <- k;
+          count.(c) <- count.(c) + 1
+        done
+      else begin
+        let ws = !wsrc and wd = !wdst in
+        for i = 0 to n - 1 do
+          let k = s.(i) in
+          let c = (k lsr sh) land mask in
+          let j = count.(c) in
+          d.(j) <- k;
+          wd.(j) <- ws.(i);
+          count.(c) <- j + 1
+        done;
+        wsrc := wd;
+        wdst := ws
+      end;
       src := d;
       dst := s;
-      shift := !shift + 16
-    done;
-    !src
-  end
-
-(* Sort entries by (k1, k2, lo).  Fast path: when the key ranges fit in
-   62 bits alongside the entry index, pack them into one int per entry
-   and sort immediates — several times faster than a comparator reading
-   five arrays.  Entries generated by the same wire stay in generation
-   order either way; cross-wire ties in (k1, k2, lo) only occur on
-   already-overlapping (invalid) geometry, where report order is not
-   specified. *)
-let sort_runs r =
-  let permute_by idx =
-    let permute a = Array.map (fun i -> a.(i)) idx in
-    {
-      r with
-      k1 = permute r.k1;
-      k2 = permute r.k2;
-      lo = permute r.lo;
-      hi = permute r.hi;
-      wire = permute r.wire;
-    }
-  in
-  if r.n = 0 then r
-  else begin
-    let mn a =
-      let m = ref a.(0) in
-      for i = 1 to r.n - 1 do
-        if a.(i) < !m then m := a.(i)
-      done;
-      !m
-    in
-    let mx a =
-      let m = ref a.(0) in
-      for i = 1 to r.n - 1 do
-        if a.(i) > !m then m := a.(i)
-      done;
-      !m
-    in
-    let k1_0 = mn r.k1 and k2_0 = mn r.k2 and lo_0 = mn r.lo in
-    let bk1 = bits_for (mx r.k1 - k1_0) in
-    let bk2 = bits_for (mx r.k2 - k2_0) in
-    let blo = bits_for (mx r.lo - lo_0) in
-    let bix = bits_for (r.n - 1) in
-    if bk1 + bk2 + blo + bix <= 62 then begin
-      let keys =
-        Array.init r.n (fun i ->
-            ((((((r.k1.(i) - k1_0) lsl bk2) lor (r.k2.(i) - k2_0)) lsl blo)
-             lor (r.lo.(i) - lo_0))
-             lsl bix)
-            lor i)
-      in
-      let keys = radix_sort keys (bk1 + bk2 + blo + bix) in
-      let mask = (1 lsl bix) - 1 in
-      permute_by (Array.map (fun k -> k land mask) keys)
-    end
-    else begin
-      let idx = Array.init r.n (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          let c = Int.compare r.k1.(a) r.k1.(b) in
-          if c <> 0 then c
-          else
-            let c = Int.compare r.k2.(a) r.k2.(b) in
-            if c <> 0 then c
-            else
-              let c = Int.compare r.lo.(a) r.lo.(b) in
-              if c <> 0 then c
-              else
-                let c = Int.compare r.hi.(a) r.hi.(b) in
-                if c <> 0 then c else Int.compare r.wire.(a) r.wire.(b))
-        idx;
-      permute_by idx
-    end
-  end
-
-let build_indexes (g : Geom.t) =
-  let px = g.Geom.px and py = g.Geom.py and pz = g.Geom.pz in
-  let nh = ref 0 and nv = ref 0 and nz = ref 0 in
-  for i = 0 to g.Geom.n_wires - 1 do
-    for k = g.Geom.wire_off.{i} to g.Geom.wire_off.{i + 1} - 2 do
-      if px.{k + 1} <> px.{k} then incr nh
-      else if py.{k + 1} <> py.{k} then incr nv
-      else incr nz
+      shift := sh + digit
     done
-  done;
-  let h = make_runs !nh and v = make_runs !nv and z = make_runs !nz in
-  let ih = ref 0 and iv = ref 0 and iz = ref 0 in
+  end;
+  !src
+
+(* Call [h], [v] or [z] with (k1, k2, lo, hi, wire) for every
+   horizontal run, vertical run or via, in generation order. *)
+let iter_segments (g : Geom.t) h v z =
+  let px = g.Geom.px and py = g.Geom.py and pz = g.Geom.pz in
   for i = 0 to g.Geom.n_wires - 1 do
     for k = g.Geom.wire_off.{i} to g.Geom.wire_off.{i + 1} - 2 do
       let xa = px.{k} and ya = py.{k} and za = pz.{k} in
       let xb = px.{k + 1} and yb = py.{k + 1} and zb = pz.{k + 1} in
-      if xb <> xa then begin
-        let j = !ih in
-        h.k1.(j) <- za;
-        h.k2.(j) <- ya;
-        h.lo.(j) <- min xa xb;
-        h.hi.(j) <- max xa xb;
-        h.wire.(j) <- i;
-        incr ih
-      end
-      else if yb <> ya then begin
-        let j = !iv in
-        v.k1.(j) <- za;
-        v.k2.(j) <- xa;
-        v.lo.(j) <- min ya yb;
-        v.hi.(j) <- max ya yb;
-        v.wire.(j) <- i;
-        incr iv
-      end
-      else begin
-        let j = !iz in
-        z.k1.(j) <- xa;
-        z.k2.(j) <- ya;
-        z.lo.(j) <- min za zb;
-        z.hi.(j) <- max za zb;
-        z.wire.(j) <- i;
-        incr iz
-      end
+      if xb <> xa then h za ya (Int.min xa xb) (Int.max xa xb) i
+      else if yb <> ya then v za xa (Int.min ya yb) (Int.max ya yb) i
+      else z xa ya (Int.min za zb) (Int.max za zb) i
     done
-  done;
-  let sh = sort_runs h and sv = sort_runs v and sz = sort_runs z in
+  done
+
+(* One run class being built: its key ranges, gathered by a counting
+   pass, then its entries packed as they are generated — (k1, k2, lo)
+   into one sort key and (wire, hi) into one word. *)
+type fill = {
+  mutable m : int;
+  mutable k1_0 : int;
+  mutable k1_1 : int;
+  mutable k2_0 : int;
+  mutable k2_1 : int;
+  mutable lo_0 : int;
+  mutable lo_1 : int;
+  mutable hi_0 : int;
+  mutable hi_1 : int;
+  mutable keys : int array;
+  mutable words : int array;
+}
+
+let new_fill () =
   {
-    h_runs = sh;
-    v_runs = sv;
-    vias = sz;
-    h_z = zindex_of sh;
-    v_z = zindex_of sv;
+    m = 0;
+    k1_0 = max_int;
+    k1_1 = min_int;
+    k2_0 = max_int;
+    k2_1 = min_int;
+    lo_0 = max_int;
+    lo_1 = min_int;
+    hi_0 = max_int;
+    hi_1 = min_int;
+    keys = [||];
+    words = [||];
   }
+
+let note f k1 k2 lo hi (_ : int) =
+  f.m <- f.m + 1;
+  if k1 < f.k1_0 then f.k1_0 <- k1;
+  if k1 > f.k1_1 then f.k1_1 <- k1;
+  if k2 < f.k2_0 then f.k2_0 <- k2;
+  if k2 > f.k2_1 then f.k2_1 <- k2;
+  if lo < f.lo_0 then f.lo_0 <- lo;
+  if lo > f.lo_1 then f.lo_1 <- lo;
+  if hi < f.hi_0 then f.hi_0 <- hi;
+  if hi > f.hi_1 then f.hi_1 <- hi
+
+let bk2 f = bits_for (f.k2_1 - f.k2_0)
+let blo f = bits_for (f.lo_1 - f.lo_0)
+let bhi f = bits_for (f.hi_1 - f.hi_0)
+let key_bits f = bits_for (f.k1_1 - f.k1_0) + bk2 f + blo f
+
+let push f ~bk2 ~blo ~bhi k1 k2 lo hi wire =
+  let j = f.m in
+  f.keys.(j) <-
+    ((((k1 - f.k1_0) lsl bk2) lor (k2 - f.k2_0)) lsl blo) lor (lo - f.lo_0);
+  f.words.(j) <- (wire lsl bhi) lor (hi - f.hi_0);
+  f.m <- j + 1
+
+(* Sort a packed class by its key, stably, carrying the words through
+   the radix passes, then decode all five fields in streaming order —
+   gathering fields through the permutation instead costs a cache and
+   TLB miss per entry at 10^6 runs.  The four sort buffers take four of
+   the decoded fields and k1 gets one new column, so the runs cost 5
+   words per entry in all. *)
+let sort_fill f =
+  let n = f.m and bk2 = bk2 f and blo = blo f and bhi = bhi f in
+  let ks = Array.make n 0 and ws = Array.make n 0 in
+  let sorted =
+    radix_sort f.keys ~scratch:ks ~carry:(f.words, ws) ~from:0 (key_bits f)
+  in
+  let in_keys = sorted == f.keys in
+  let kfree = if in_keys then ks else f.keys
+  and words = if in_keys then f.words else ws
+  and wfree = if in_keys then ws else f.words in
+  let k1 = Array.make n 0 in
+  let mlo = (1 lsl blo) - 1 and mk2 = (1 lsl bk2) - 1 and mhi = (1 lsl bhi) - 1 in
+  for j = 0 to n - 1 do
+    let k = sorted.(j) and w = words.(j) in
+    k1.(j) <- (k lsr (blo + bk2)) + f.k1_0;
+    kfree.(j) <- ((k lsr blo) land mk2) + f.k2_0;
+    sorted.(j) <- (k land mlo) + f.lo_0;
+    wfree.(j) <- (w land mhi) + f.hi_0;
+    words.(j) <- w lsr bhi
+  done;
+  { n; k1; k2 = kfree; lo = sorted; hi = wfree; wire = words }
+
+(* The comparator fallback, for key ranges too wide to pack: the same
+   stable (k1, k2, lo) order over plain columns. *)
+let sort_columns (g : Geom.t) sel n =
+  let k1 = Array.make n 0 and k2 = Array.make n 0 and lo = Array.make n 0 in
+  let hi = Array.make n 0 and wire = Array.make n 0 in
+  let j = ref 0 in
+  let put a b l h w =
+    k1.(!j) <- a;
+    k2.(!j) <- b;
+    lo.(!j) <- l;
+    hi.(!j) <- h;
+    wire.(!j) <- w;
+    incr j
+  in
+  let skip _ _ _ _ _ = () in
+  (match sel with
+  | `H -> iter_segments g put skip skip
+  | `V -> iter_segments g skip put skip
+  | `Z -> iter_segments g skip skip put);
+  let idx = Array.init n (fun i -> i) in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare k1.(a) k1.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare k2.(a) k2.(b) in
+        if c <> 0 then c else Int.compare lo.(a) lo.(b))
+    idx;
+  let permute a = Array.map (fun i -> a.(i)) idx in
+  {
+    n;
+    k1 = permute k1;
+    k2 = permute k2;
+    lo = permute lo;
+    hi = permute hi;
+    wire = permute wire;
+  }
+
+(* Classify every segment off the point columns, then sort each class
+   by (k1, k2, lo), stably, so entries of one wire stay in generation
+   order; cross-wire ties only occur on already-overlapping (invalid)
+   geometry, where report order is not specified.  Fast path: a
+   counting pass gathers each class's key ranges, and when (k1, k2, lo)
+   fits one int and (wire, hi) another the fill pass writes only those
+   two words per entry. *)
+let build_indexes (g : Geom.t) =
+  let fh = new_fill () and fv = new_fill () and fz = new_fill () in
+  iter_segments g (note fh) (note fv) (note fz);
+  let bw = bits_for (g.Geom.n_wires - 1) in
+  let packs f = key_bits f <= 62 && bw + bhi f <= 62 in
+  let h, v, z =
+    if packs fh && packs fv && packs fz then begin
+      let start f =
+        let n = f.m in
+        f.keys <- Array.make n 0;
+        f.words <- Array.make n 0;
+        f.m <- 0;
+        push f ~bk2:(bk2 f) ~blo:(blo f) ~bhi:(bhi f)
+      in
+      iter_segments g (start fh) (start fv) (start fz);
+      (sort_fill fh, sort_fill fv, sort_fill fz)
+    end
+    else (sort_columns g `H fh.m, sort_columns g `V fv.m, sort_columns g `Z fz.m)
+  in
+  { h_runs = h; v_runs = v; vias = z; h_z = zindex_of h; v_z = zindex_of v }
 
 (* call [f start stop] for every maximal same-(k1, k2) slice inside
    [from, upto) — [from]/[upto] must sit on group boundaries, which
@@ -313,21 +370,33 @@ let iter_groups (r : runs) f = iter_groups_in r ~from:0 ~upto:r.n f
 
 (* --- collinear (same line) overlap checks -------------------------- *)
 
-let check_collinear c ~what (r : runs) start stop =
+type line_kind = Horizontal | Vertical | Via_stack
+
+(* entry [i] of [r] against an earlier entry of its line reaching
+   [prev_hi], owned by [prev_wire] *)
+let clash c line (r : runs) i prev_hi prev_wire =
+  let b_wire = r.wire.(i) and b_lo = r.lo.(i) in
+  if prev_wire >= 0 && prev_wire <> b_wire && prev_hi >= b_lo then
+    match line with
+    | Via_stack ->
+        report c "via-overlap" "vias of wires %d and %d collide at (%d,%d)"
+          prev_wire b_wire r.k1.(i) r.k2.(i)
+    | Horizontal | Vertical ->
+        report c "overlap" "%s runs of wires %d and %d share x/y=%d.."
+          (if line = Horizontal then "horizontal" else "vertical")
+          prev_wire b_wire b_lo
+
+let check_collinear c line (r : runs) start stop =
   (* the group is already sorted by lo; sweep keeping the
      farthest-reaching span seen so far, plus the farthest-reaching one
-     owned by a different wire, so containment chains are caught too *)
+     owned by a different wire, so containment chains are caught too —
+     also for the vias stacked at one (x, y), whose spans are in z *)
   let hi1 = ref min_int and wire1 = ref (-1) in
   let hi2 = ref min_int and wire2 = ref (-1) in
   for i = start to stop - 1 do
-    let b_lo = r.lo.(i) and b_hi = r.hi.(i) and b_wire = r.wire.(i) in
-    let clash prev_hi prev_wire =
-      if prev_wire >= 0 && prev_wire <> b_wire && prev_hi >= b_lo then
-        report c "overlap" "%s runs of wires %d and %d share x/y=%d.." what
-          prev_wire b_wire b_lo
-    in
-    clash !hi1 !wire1;
-    if !wire2 <> !wire1 then clash !hi2 !wire2;
+    let b_hi = r.hi.(i) and b_wire = r.wire.(i) in
+    clash c line r i !hi1 !wire1;
+    if !wire2 <> !wire1 then clash c line r i !hi2 !wire2;
     (* update the two leaders *)
     if b_hi >= !hi1 then begin
       if b_wire <> !wire1 then begin
@@ -383,72 +452,160 @@ let check_crossings c ~mode (idx : indexes) =
 
 (* --- via checks ----------------------------------------------------- *)
 
+(* [reach.(i)] = the largest [hi] over entries [group start .. i] of
+   i's (k1, k2) group, so some run at or before [i] on the line covers
+   a point [at >= lo.(i)] iff [reach.(i) >= at] *)
+let group_reach (r : runs) =
+  let reach = Array.make (Int.max 1 r.n) min_int in
+  for i = 0 to r.n - 1 do
+    let h = r.hi.(i) in
+    reach.(i) <-
+      (if
+         i > 0
+         && r.k1.(i) = r.k1.(i - 1)
+         && r.k2.(i) = r.k2.(i - 1)
+         && reach.(i - 1) > h
+       then reach.(i - 1)
+       else h)
+  done;
+  reach
+
+(* One merge step of a via against the runs of layer bucket [b]:
+   advance the bucket's cursor past every run with (line, lo) <=
+   (line, at), then walk back over runs of the same line while their
+   reach still covers [at].  The walk meets every run containing [at]
+   — also one that starts before a shorter run of the same line, as a
+   wire doubling back on its own track produces — and on valid
+   geometry stops after one or two entries. *)
+let pierce_step c (r : runs) reach (zi : zindex) cur b ~line ~at ~via_wire x y
+    =
+  let e = zi.bstart.(b + 1) in
+  let p = ref cur.(b) in
+  while !p < e && (r.k2.(!p) < line || (r.k2.(!p) = line && r.lo.(!p) <= at))
+  do
+    incr p
+  done;
+  cur.(b) <- !p;
+  let s = zi.bstart.(b) in
+  let q = ref (!p - 1) in
+  while !q >= s && r.k2.(!q) = line && reach.(!q) >= at do
+    let j = !q in
+    if r.hi.(j) >= at && r.wire.(j) <> via_wire then
+      report c "via-run" "via of wire %d pierces run of wire %d at (%d,%d,%d)"
+        via_wire r.wire.(j) x y zi.zs.(b);
+    decr q
+  done
+
+(* Vias in the order one orientation's runs sort in within a layer:
+   via [o] sits on track line [line o] at [at o] along it, spans layers
+   [zlo o .. zhi o] and belongs to wire [wire o]. *)
+type via_seq = {
+  len : int;
+  line : int -> int;
+  at : int -> int;
+  zlo : int -> int;
+  zhi : int -> int;
+  wire : int -> int;
+}
+
+(* Every via of [vs] against the in-plane runs [r] of one orientation
+   on each layer it traverses (a via is a bend, so this is illegal in
+   both modes).  [vs] follows the runs' (line, lo) order, so each layer
+   bucket is read by one forward cursor and no probe binary-searches. *)
+let check_pierces c (r : runs) (zi : zindex) ~horizontal (vs : via_seq) =
+  let reach = group_reach r in
+  let nb = Array.length zi.bstart - 1 in
+  let cur = Array.sub zi.bstart 0 nb in
+  for o = 0 to vs.len - 1 do
+    let line = vs.line o and at = vs.at o and zhi = vs.zhi o in
+    let x = if horizontal then at else line
+    and y = if horizontal then line else at in
+    let b = ref (lb_ge zi.zs 0 nb (vs.zlo o)) in
+    while !b < nb && zi.zs.(!b) <= zhi do
+      pierce_step c r reach zi cur !b ~line ~at ~via_wire:(vs.wire o) x y;
+      incr b
+    done
+  done
+
+(* the vias as sorted in the index, (x, y) order: vertical runs' order *)
+let vias_by_x (vias : runs) =
+  {
+    len = vias.n;
+    line = (fun o -> vias.k1.(o));
+    at = (fun o -> vias.k2.(o));
+    zlo = (fun o -> vias.lo.(o));
+    zhi = (fun o -> vias.hi.(o));
+    wire = (fun o -> vias.wire.(o));
+  }
+
+(* The vias in (y, x) order, horizontal runs' order: a stable sort on y
+   of the (x, y)-sorted entries.  When they fit, (y, x) is packed into
+   the sort key and (z-lo, z span, wire) into one carried word, so the
+   sort writes every field in streaming order and reading them back is
+   sequential — a gather of five columns through the permutation costs
+   a cache and TLB miss each at 10^6 vias.  Otherwise the index order
+   is read through a comparator-sorted permutation. *)
+let vias_by_y (vias : runs) =
+  let n = vias.n in
+  let x0, x1 = range vias.k1 n and y0, y1 = range vias.k2 n in
+  let z0, z1 = range vias.lo n in
+  let span = ref 0 and w1 = ref 0 in
+  for i = 0 to n - 1 do
+    span := Int.max !span (vias.hi.(i) - vias.lo.(i));
+    w1 := Int.max !w1 vias.wire.(i)
+  done;
+  let bx = bits_for (x1 - x0) and by = bits_for (y1 - y0) in
+  let bz = bits_for (z1 - z0) and bs = bits_for !span in
+  if n = 0 then vias_by_x vias
+  else if bx + by <= 62 && bits_for !w1 + bz + bs <= 62 then begin
+    let keys =
+      Array.init n (fun i -> ((vias.k2.(i) - y0) lsl bx) lor (vias.k1.(i) - x0))
+    in
+    let words =
+      Array.init n (fun i ->
+          (((vias.wire.(i) lsl bz) lor (vias.lo.(i) - z0)) lsl bs)
+          lor (vias.hi.(i) - vias.lo.(i)))
+    in
+    let words_scratch = Array.make n 0 in
+    let sorted =
+      radix_sort keys ~scratch:(Array.make n 0)
+        ~carry:(words, words_scratch) ~from:bx (by + bx)
+    in
+    let words = if sorted == keys then words else words_scratch in
+    let mx = (1 lsl bx) - 1 and mz = (1 lsl bz) - 1 and ms = (1 lsl bs) - 1 in
+    let zlo o = ((words.(o) lsr bs) land mz) + z0 in
+    {
+      len = n;
+      line = (fun o -> (sorted.(o) lsr bx) + y0);
+      at = (fun o -> (sorted.(o) land mx) + x0);
+      zlo;
+      zhi = (fun o -> zlo o + (words.(o) land ms));
+      wire = (fun o -> words.(o) lsr (bs + bz));
+    }
+  end
+  else begin
+    let idx = Array.init n (fun i -> i) in
+    Array.stable_sort (fun a b -> Int.compare vias.k2.(a) vias.k2.(b)) idx;
+    {
+      len = n;
+      line = (fun o -> vias.k2.(idx.(o)));
+      at = (fun o -> vias.k1.(idx.(o)));
+      zlo = (fun o -> vias.lo.(idx.(o)));
+      zhi = (fun o -> vias.hi.(idx.(o)));
+      wire = (fun o -> vias.wire.(idx.(o)));
+    }
+  end
+
 let check_vias c (idx : indexes) =
   let vias = idx.vias in
-  iter_groups vias (fun s e ->
-      let x = vias.k1.(s) and y = vias.k2.(s) in
-      (* via-via at the same (x, y): the group is sorted by z-lo *)
-      for i = s to e - 2 do
-        if vias.wire.(i) <> vias.wire.(i + 1) && vias.hi.(i) >= vias.lo.(i + 1)
-        then
-          report c "via-overlap" "vias of wires %d and %d collide at (%d,%d)"
-            vias.wire.(i)
-            vias.wire.(i + 1)
-            x y
-      done;
-      (* via against in-plane runs on every layer it traverses: a via is
-         a bend, so this is illegal in both modes *)
-      for i = s to e - 1 do
-        let via_wire = vias.wire.(i) in
-        for z = vias.lo.(i) to vias.hi.(i) do
-          let hs, he = group_range idx.h_runs idx.h_z z y in
-          for j = hs to he - 1 do
-            let hr = idx.h_runs in
-            if hr.wire.(j) <> via_wire && hr.lo.(j) <= x && x <= hr.hi.(j)
-            then
-              report c "via-run"
-                "via of wire %d pierces run of wire %d at (%d,%d,%d)" via_wire
-                hr.wire.(j) x y z
-          done;
-          let vs, ve = group_range idx.v_runs idx.v_z z x in
-          for j = vs to ve - 1 do
-            let vr = idx.v_runs in
-            if vr.wire.(j) <> via_wire && vr.lo.(j) <= y && y <= vr.hi.(j)
-            then
-              report c "via-run"
-                "via of wire %d pierces run of wire %d at (%d,%d,%d)" via_wire
-                vr.wire.(j) x y z
-          done
-        done
-      done)
+  (* via-via at the same (x, y): the group is sorted by z-lo *)
+  iter_groups vias (fun s e -> check_collinear c Via_stack vias s e);
+  (* vertical runs sort by (layer, x, y) like the vias themselves;
+     horizontal ones by (layer, y, x), which needs the vias re-sorted *)
+  check_pierces c idx.v_runs idx.v_z ~horizontal:false (vias_by_x vias);
+  check_pierces c idx.h_runs idx.h_z ~horizontal:true (vias_by_y vias)
 
 (* --- node footprint checks ------------------------------------------ *)
-
-let check_nodes c (layout : Layout.t) =
-  let g = Layout.geom layout in
-  let node_layers = Layout.node_layers layout in
-  let n = g.Geom.n_nodes in
-  (* pairwise disjointness via sweep on x0 *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare g.Geom.nx0.{a} g.Geom.nx0.{b}) order;
-  Array.iteri
-    (fun i a ->
-      let j = ref (i + 1) in
-      while !j < n && g.Geom.nx0.{order.(!j)} <= g.Geom.nx1.{a} do
-        let b = order.(!j) in
-        (* footprints may coincide across different active layers *)
-        if
-          node_layers.(a) = node_layers.(b)
-          && max g.Geom.nx0.{a} g.Geom.nx0.{b}
-             <= min g.Geom.nx1.{a} g.Geom.nx1.{b}
-          && max g.Geom.ny0.{a} g.Geom.ny0.{b}
-             <= min g.Geom.ny1.{a} g.Geom.ny1.{b}
-        then
-          report c "node-overlap" "nodes %d and %d overlap: %a vs %a" a b
-            Rect.pp (Geom.node_rect g a) Rect.pp (Geom.node_rect g b);
-        incr j
-      done)
-    order
 
 (* Nodes indexed by their y rows (for H segments) and x columns (for V
    ones): one flat entry per (row-or-column, node) pair, bucketed by the
@@ -476,8 +633,8 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
     total := !total + (key_hi.{i} - key_lo.{i} + 1)
   done;
   let total = !total in
-  let ekey = Array.make (max 1 total) 0 in
-  let enode = Array.make (max 1 total) (-1) in
+  let ekey = Array.make (Int.max 1 total) 0 in
+  let enode = Array.make (Int.max 1 total) (-1) in
   let j = ref 0 in
   for i = 0 to g.Geom.n_nodes - 1 do
     for key = key_lo.{i} to key_hi.{i} do
@@ -513,10 +670,18 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
               ((((ekey.(i) - kmin) lsl blo) lor (span_lo.{nd} - lmin)) lsl bnd)
               lor nd)
         in
-        let packed = radix_sort packed (bkey + blo + bnd) in
+        (* the entry columns are free once packed: one is the sort's
+           second buffer, and both take the sorted keys and nodes *)
+        let sorted =
+          radix_sort packed ~scratch:ekey ~from:bnd (bkey + blo + bnd)
+        in
         let maskn = (1 lsl bnd) - 1 in
-        ( Array.map (fun k -> (k lsr (blo + bnd)) + kmin) packed,
-          Array.map (fun k -> k land maskn) packed )
+        for j = 0 to total - 1 do
+          let k = sorted.(j) in
+          ekey.(j) <- (k lsr (blo + bnd)) + kmin;
+          enode.(j) <- k land maskn
+        done;
+        (ekey, enode)
       end
       else begin
         let idx = Array.init total (fun i -> i) in
@@ -539,7 +704,7 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
   for i = 0 to total - 1 do
     if i = 0 || sorted_key.(i) <> sorted_key.(i - 1) then incr nkeys
   done;
-  let keys = Array.make (max 1 !nkeys) 0 in
+  let keys = Array.make (Int.max 1 !nkeys) 0 in
   let bstart = Array.make (!nkeys + 1) total in
   let b = ref 0 in
   for i = 0 to total - 1 do
@@ -549,7 +714,7 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
       incr b
     end
   done;
-  let prefmax = Array.make (max 1 total) min_int in
+  let prefmax = Array.make (Int.max 1 total) min_int in
   for b = 0 to !nkeys - 1 do
     let m = ref min_int in
     for i = bstart.(b) to bstart.(b + 1) - 1 do
@@ -559,73 +724,188 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
   done;
   { keys; bstart; lo; hi; prefmax; node }
 
-(* call [f node olo ohi] for each node on row/column [key] whose span
-   overlaps [qlo, qhi], with the clamped overlap *)
-let node_stab (ni : node_index) key qlo qhi f =
+(* Stabbing, written out at each call site so that no query allocates a
+   closure: [node_bucket ni key] is the bucket of row/column [key] (or
+   -1), and the entries of bucket [b] whose span overlaps [qlo, qhi] are
+   those with [hi >= qlo] met walking down from [node_last ni b qhi]
+   while [prefmax] still reaches qlo. *)
+let node_bucket (ni : node_index) key =
   let nk = Array.length ni.bstart - 1 in
   let b = lb_ge ni.keys 0 nk key in
-  if b < nk && ni.keys.(b) = key then begin
-    let s = ni.bstart.(b) and e = ni.bstart.(b + 1) in
-    let p = ref (lb_gt ni.lo s e qhi - 1) in
-    while !p >= s && ni.prefmax.(!p) >= qlo do
-      if ni.hi.(!p) >= qlo then
-        f ni.node.(!p) (max ni.lo.(!p) qlo) (min ni.hi.(!p) qhi);
-      decr p
-    done
-  end
+  if b < nk && ni.keys.(b) = key then b else -1
 
-let check_wires_vs_nodes c (layout : Layout.t) =
+let node_last (ni : node_index) b qhi =
+  lb_gt ni.lo ni.bstart.(b) ni.bstart.(b + 1) qhi - 1
+
+(* Two footprints overlap iff one of them contains the other's bottom
+   row, so one stab per node along its own bottom row finds every
+   overlapping pair: from the higher-based node, or from both when the
+   bottom rows coincide, where only the lower id reports. *)
+let check_nodes c (layout : Layout.t) (by_y : node_index) =
   let g = Layout.geom layout in
   let node_layers = Layout.node_layers layout in
-  let by_y = build_node_index g.Geom.ny0 g.Geom.ny1 g.Geom.nx0 g.Geom.nx1 g in
-  let by_x = build_node_index g.Geom.nx0 g.Geom.nx1 g.Geom.ny0 g.Geom.ny1 g in
-  let px = g.Geom.px and py = g.Geom.py and pz = g.Geom.pz in
-  for wire_id = 0 to g.Geom.n_wires - 1 do
-    let u = g.Geom.edge_u.{wire_id} and v = g.Geom.edge_v.{wire_id} in
-    let first = g.Geom.wire_off.{wire_id}
-    and last = g.Geom.wire_off.{wire_id + 1} - 1 in
-    let endpoint_of_wire x y z =
-      (px.{first} = x && py.{first} = y && pz.{first} = z)
-      || (px.{last} = x && py.{last} = y && pz.{last} = z)
-    in
-    let check_hit node_id ~single x y z =
-      let foreign = node_id <> u && node_id <> v in
-      if foreign then
-        report c "node-hit" "wire %d (%d-%d) crosses foreign node %d (%a)"
-          wire_id u v node_id Rect.pp (Geom.node_rect g node_id)
-      else if not (single && endpoint_of_wire x y z) then
-        report c "node-hit"
-          "wire %d (%d-%d) overlaps its node %d beyond its terminal" wire_id u
-          v node_id
-    in
-    for k = first to last - 1 do
-      let xa = px.{k} and ya = py.{k} and za = pz.{k} in
-      let xb = px.{k + 1} and yb = py.{k + 1} and zb = pz.{k + 1} in
-      if xb <> xa then
-        (* in-plane run along x at (y, z) *)
-        node_stab by_y ya (min xa xb) (max xa xb) (fun id lo hi ->
-            if node_layers.(id) = za then
-              check_hit id ~single:(lo = hi) lo ya za)
-      else if yb <> ya then
-        node_stab by_x xa (min ya yb) (max ya yb) (fun id lo hi ->
-            if node_layers.(id) = za then
-              check_hit id ~single:(lo = hi) xa lo za)
-      else begin
-        (* a via hits a node when its z range crosses the node's active
-           layer inside the footprint *)
-        let zlo = min za zb and zhi = max za zb in
-        node_stab by_y ya xa xa (fun id _ _ ->
-            let zl = node_layers.(id) in
-            if zlo <= zl && zl <= zhi then check_hit id ~single:true xa ya zl)
-      end
-    done
+  for a = 0 to g.Geom.n_nodes - 1 do
+    let y0 = g.Geom.ny0.{a} and qlo = g.Geom.nx0.{a} in
+    let b = node_bucket by_y y0 in
+    if b >= 0 then begin
+      let s = by_y.bstart.(b) in
+      let p = ref (node_last by_y b g.Geom.nx1.{a}) in
+      while !p >= s && by_y.prefmax.(!p) >= qlo do
+        let o = by_y.node.(!p) in
+        (* footprints may coincide across different active layers *)
+        if
+          by_y.hi.(!p) >= qlo
+          && o <> a
+          && node_layers.(o) = node_layers.(a)
+          && (g.Geom.ny0.{o} < y0 || a < o)
+        then begin
+          let a, o = if a < o then (a, o) else (o, a) in
+          report c "node-overlap" "nodes %d and %d overlap: %a vs %a" a o
+            Rect.pp (Geom.node_rect g a) Rect.pp (Geom.node_rect g o)
+        end;
+        decr p
+      done
+    end
   done
+
+(* Per wire, 8 ints: its end nodes u and v, then the coordinates of its
+   first and last points.  The wire-vs-node pass meets wires in run
+   order, not wire order, and its hits (mostly terminals touching their
+   own node) then read one or two cache lines here instead of six
+   scattered column entries. *)
+let wire_ends (g : Geom.t) =
+  let t = Array.make (8 * Int.max 1 g.Geom.n_wires) 0 in
+  for w = 0 to g.Geom.n_wires - 1 do
+    let f = g.Geom.wire_off.{w} and l = g.Geom.wire_off.{w + 1} - 1 in
+    let o = 8 * w in
+    t.(o) <- g.Geom.edge_u.{w};
+    t.(o + 1) <- g.Geom.edge_v.{w};
+    t.(o + 2) <- g.Geom.px.{f};
+    t.(o + 3) <- g.Geom.py.{f};
+    t.(o + 4) <- g.Geom.pz.{f};
+    t.(o + 5) <- g.Geom.px.{l};
+    t.(o + 6) <- g.Geom.py.{l};
+    t.(o + 7) <- g.Geom.pz.{l}
+  done;
+  t
+
+(* wire [wire]'s segment meets node [id] at (x, y, z) — one grid point
+   if [single] *)
+let node_hit c g ends ~wire id ~single x y z =
+  let o = 8 * wire in
+  let u = ends.(o) and v = ends.(o + 1) in
+  if id <> u && id <> v then
+    report c "node-hit" "wire %d (%d-%d) crosses foreign node %d (%a)" wire u v
+      id Rect.pp (Geom.node_rect g id)
+  else if
+    not
+      (single
+      && ((ends.(o + 2) = x && ends.(o + 3) = y && ends.(o + 4) = z)
+         || (ends.(o + 5) = x && ends.(o + 6) = y && ends.(o + 7) = z)))
+  then
+    report c "node-hit"
+      "wire %d (%d-%d) overlaps its node %d beyond its terminal" wire u v id
+
+(* index entry [j] met by segment [i] of a sorted slice: a hit when the
+   node's active layer lies in the segment's layer range *)
+let node_entry_hit c g ends node_layers (ni : node_index) j ~along_x ~line
+    ~qlo ~qhi ~zlo ~zhi ~wire =
+  let id = ni.node.(j) in
+  let zl = node_layers.(id) in
+  if zlo <= zl && zl <= zhi then begin
+    let lo = Int.max ni.lo.(j) qlo and hi = Int.min ni.hi.(j) qhi in
+    let x = if along_x then lo else line and y = if along_x then line else lo in
+    node_hit c g ends ~wire id ~single:(lo = hi) x y zl
+  end
+
+(* Segments [0, n) against node index [ni]: segment [i] lies on
+   row/column [line.(i)] of the index, spans [qlo.(i), qhi.(i)] along
+   it ([along_x]: the span is in x) and occupies layers [zlo.(i),
+   zhi.(i)].  The segments come from the sorted run indexes, so (line,
+   qlo) ascends except where a new layer bucket starts: one cursor
+   follows the index's keys and one the entries of the current line,
+   and only a step backwards re-seeks them by binary search.  Per
+   segment, the entries starting at or before qlo are walked back while
+   their prefix max reaches it, and those starting inside the span are
+   walked forward. *)
+let segments_vs_nodes c g ends node_layers (ni : node_index) ~along_x ~line ~qlo
+    ~qhi ~zlo ~zhi ~wire n =
+  let nk = Array.length ni.bstart - 1 in
+  let kb = ref 0 and b = ref (-1) and ec = ref 0 in
+  let at_line = ref max_int and at_lo = ref max_int in
+  for i = 0 to n - 1 do
+    let l = line.(i) and a = qlo.(i) and z = qhi.(i) in
+    if l < !at_line || (l = !at_line && a < !at_lo) then begin
+      kb := lb_ge ni.keys 0 nk l;
+      b := if !kb < nk && ni.keys.(!kb) = l then !kb else -1;
+      if !b >= 0 then ec := ni.bstart.(!b)
+    end
+    else if l > !at_line then begin
+      while !kb < nk && ni.keys.(!kb) < l do
+        incr kb
+      done;
+      b := if !kb < nk && ni.keys.(!kb) = l then !kb else -1;
+      if !b >= 0 then ec := ni.bstart.(!b)
+    end;
+    at_line := l;
+    at_lo := a;
+    if !b >= 0 then begin
+      let s = ni.bstart.(!b) and e = ni.bstart.(!b + 1) in
+      while !ec < e && ni.lo.(!ec) <= a do
+        incr ec
+      done;
+      let p = ref (!ec - 1) in
+      while !p >= s && ni.prefmax.(!p) >= a do
+        if ni.hi.(!p) >= a then
+          node_entry_hit c g ends node_layers ni !p ~along_x ~line:l ~qlo:a
+            ~qhi:z ~zlo:zlo.(i) ~zhi:zhi.(i) ~wire:wire.(i);
+        decr p
+      done;
+      let f = ref !ec in
+      while !f < e && ni.lo.(!f) <= z do
+        node_entry_hit c g ends node_layers ni !f ~along_x ~line:l ~qlo:a
+          ~qhi:z ~zlo:zlo.(i) ~zhi:zhi.(i) ~wire:wire.(i);
+        incr f
+      done
+    end
+  done
+
+(* horizontal runs against node rows, vertical runs against node
+   columns, and vias (sorted by x, then y) against node columns at
+   their single point *)
+let check_wires_vs_nodes c (layout : Layout.t) (by_y : node_index)
+    (idx : indexes) =
+  let g = Layout.geom layout in
+  let node_layers = Layout.node_layers layout in
+  let h = idx.h_runs and v = idx.v_runs and z = idx.vias in
+  let ends = wire_ends g in
+  segments_vs_nodes c g ends node_layers by_y ~along_x:true ~line:h.k2
+    ~qlo:h.lo ~qhi:h.hi ~zlo:h.k1 ~zhi:h.k1 ~wire:h.wire h.n;
+  let by_x = build_node_index g.Geom.nx0 g.Geom.nx1 g.Geom.ny0 g.Geom.ny1 g in
+  segments_vs_nodes c g ends node_layers by_x ~along_x:false ~line:v.k2
+    ~qlo:v.lo ~qhi:v.hi ~zlo:v.k1 ~zhi:v.k1 ~wire:v.wire v.n;
+  segments_vs_nodes c g ends node_layers by_x ~along_x:false ~line:z.k1
+    ~qlo:z.k2 ~qhi:z.k2 ~zlo:z.lo ~zhi:z.hi ~wire:z.wire z.n
+
+(* point [k] lies on the boundary of [node]'s footprint, on its layer *)
+let on_boundary (g : Geom.t) node_layers k node =
+  let x = g.Geom.px.{k} and y = g.Geom.py.{k} in
+  g.Geom.pz.{k} = node_layers.(node)
+  && g.Geom.nx0.{node} <= x
+  && x <= g.Geom.nx1.{node}
+  && g.Geom.ny0.{node} <= y
+  && y <= g.Geom.ny1.{node}
+  && not
+       (g.Geom.nx0.{node} < x
+       && x < g.Geom.nx1.{node}
+       && g.Geom.ny0.{node} < y
+       && y < g.Geom.ny1.{node})
 
 let check_terminals c (layout : Layout.t) =
   let g = Layout.geom layout in
   let node_layers = Layout.node_layers layout in
   let graph_edges = Graph.edges (Layout.graph layout) in
-  let px = g.Geom.px and py = g.Geom.py and pz = g.Geom.pz in
+  let on k node = on_boundary g node_layers k node in
   for i = 0 to g.Geom.n_wires - 1 do
     let u = g.Geom.edge_u.{i} and v = g.Geom.edge_v.{i} in
     let gu, gv = graph_edges.(i) in
@@ -633,24 +913,7 @@ let check_terminals c (layout : Layout.t) =
       report c "edge-mismatch" "wire %d realizes %d-%d but edge %d is %d-%d" i
         u v i gu gv;
     let first = g.Geom.wire_off.{i} and last = g.Geom.wire_off.{i + 1} - 1 in
-    let on_boundary k node =
-      let x = px.{k} and y = py.{k} in
-      pz.{k} = node_layers.(node)
-      && g.Geom.nx0.{node} <= x
-      && x <= g.Geom.nx1.{node}
-      && g.Geom.ny0.{node} <= y
-      && y <= g.Geom.ny1.{node}
-      && not
-           (g.Geom.nx0.{node} < x
-           && x < g.Geom.nx1.{node}
-           && g.Geom.ny0.{node} < y
-           && y < g.Geom.ny1.{node})
-    in
-    let ok =
-      (on_boundary first u && on_boundary last v)
-      || (on_boundary first v && on_boundary last u)
-    in
-    if not ok then
+    if not ((on first u && on last v) || (on first v && on last u)) then
       report c "terminal" "wire %d (%d-%d) does not terminate on its nodes" i
         u v
   done
@@ -697,10 +960,10 @@ let run_shard ~mode ~max_violations (idx : indexes) shard =
   (match shard with
   | Sweep_h (s, e) ->
       iter_groups_in idx.h_runs ~from:s ~upto:e (fun gs ge ->
-          check_collinear lc ~what:"horizontal" idx.h_runs gs ge)
+          check_collinear lc Horizontal idx.h_runs gs ge)
   | Sweep_v (s, e) ->
       iter_groups_in idx.v_runs ~from:s ~upto:e (fun gs ge ->
-          check_collinear lc ~what:"vertical" idx.v_runs gs ge)
+          check_collinear lc Vertical idx.v_runs gs ge)
   | Sweep_x (s, e) -> check_crossings_in lc ~mode idx ~from:s ~upto:e);
   List.rev lc.violations
 
@@ -713,32 +976,44 @@ let merge_into c found =
       end)
     found
 
+(* words allocated so far by the calling domain *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 let run ?(mode = Strict) ?(max_violations = 20) ?(jobs = 1) layout =
   let debug = Sys.getenv_opt "MVL_CHECK_TIMINGS" <> None in
-  let t0 = ref (Sys.time ()) in
+  let t0 = ref (Unix.gettimeofday ()) and w0 = ref (allocated_words ()) in
   let tick label =
     if debug then begin
-      let t = Sys.time () in
-      Printf.eprintf "check: %-16s %.4fs\n%!" label (t -. !t0);
-      t0 := t
+      let t = Unix.gettimeofday () and w = allocated_words () in
+      Printf.eprintf "check: %-16s %.4fs %9.3f Mwords\n%!" label (t -. !t0)
+        ((w -. !w0) /. 1e6);
+      t0 := t;
+      w0 := w
     end
   in
   let c = { violations = []; count = 0; limit = max_violations } in
+  let g = Layout.geom layout in
+  (* the sorted runs serve the wire-vs-node pass too; building them
+     first reports nothing, so the passes still report in this order *)
+  let idx = build_indexes g in
+  tick "build_indexes";
   check_layers c layout;
   tick "layers";
-  check_nodes c layout;
+  let by_y = build_node_index g.Geom.ny0 g.Geom.ny1 g.Geom.nx0 g.Geom.nx1 g in
+  tick "node_index";
+  check_nodes c layout by_y;
   tick "nodes";
   check_terminals c layout;
   tick "terminals";
-  check_wires_vs_nodes c layout;
+  check_wires_vs_nodes c layout by_y idx;
   tick "wires_vs_nodes";
-  let idx = build_indexes (Layout.geom layout) in
-  tick "build_indexes";
   if jobs <= 1 then begin
     iter_groups idx.h_runs (fun s e ->
-        check_collinear c ~what:"horizontal" idx.h_runs s e);
+        check_collinear c Horizontal idx.h_runs s e);
     iter_groups idx.v_runs (fun s e ->
-        check_collinear c ~what:"vertical" idx.v_runs s e);
+        check_collinear c Vertical idx.v_runs s e);
     tick "collinear";
     check_crossings c ~mode idx;
     tick "crossings"
