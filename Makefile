@@ -17,9 +17,14 @@ test:
 # A Mutex.lock not immediately followed by Fun.protect leaks the lock
 # if the critical section raises — library code must go through a
 # with_lock-style helper built on that idiom.
+# Bare min/max in lib/layout and lib/geometry are the polymorphic
+# Stdlib ones (a compare call per use without flambda); these hot paths
+# must say Int.min/Int.max (or Float.).
 # Sys.time is the process's CPU time, summed over every domain, so a
-# phase timed with it under --jobs N reads N times too long; time with
-# the wall clock (Unix.gettimeofday).
+# phase timed with it under --jobs N reads N times too long.  The wall
+# clock (Unix.gettimeofday) jumps under NTP adjustment.  Library code
+# times with Span (lib/core/span.ml: Span.with_, Span.now), the one
+# place that reads a clock.
 lint:
 	@! grep -rEn '(^|[^.A-Za-z0-9_])(compare|Hashtbl\.hash)([^A-Za-z0-9_]|$$)' \
 		lib --include='*.ml' \
@@ -33,8 +38,14 @@ lint:
 	@! grep -rEn "\([^(),]*\*[^(),]*,[^()]*\) *Hashtbl\.t" \
 		lib --include='*.ml' --include='*.mli' \
 		|| { echo "lint: tuple-keyed Hashtbl type in lib/ (pack the key into an int)"; exit 1; }
+	@! grep -rEn '(^|[^.A-Za-z0-9_~?])(min|max) +[(A-Za-z0-9_!-]' \
+		lib/layout lib/geometry --include='*.ml' \
+		|| { echo "lint: bare min/max in lib/layout or lib/geometry (use Int./Float.)"; exit 1; }
 	@! grep -rn 'Sys\.time' lib --include='*.ml' \
-		|| { echo "lint: Sys.time (process CPU time) in lib/; use a wall clock"; exit 1; }
+		|| { echo "lint: Sys.time (process CPU time) in lib/; time with Span"; exit 1; }
+	@! grep -rEn 'Unix\.gettimeofday|Monotonic_clock\.now' lib --include='*.ml' \
+		| grep -v '^lib/core/span\.ml:' \
+		|| { echo "lint: clock read outside lib/core/span.ml; time with Span"; exit 1; }
 	@bad=0; for f in $$(grep -rl 'Mutex\.lock' lib --include='*.ml'); do \
 		awk 'flag && !/Fun\.protect/ { print FILENAME ":" FNR-1 \
 			": Mutex.lock without Fun.protect on the next line"; bad=1 } \
@@ -80,17 +91,18 @@ check: lint
 	rm -f BENCH_sim_quick.json BENCH_sim_jobs1.json BENCH_sim_jobs2.json
 	dune exec bench/main.exe -- scale --quick --jobs 2 -o BENCH_layout_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.layout/1"' BENCH_layout_quick.json
-	grep -q '"layout_phases"' BENCH_layout_quick.json
-	grep -q '"emit_seconds"' BENCH_layout_quick.json
+	grep -q '"spans"' BENCH_layout_quick.json
+	grep -q '"name":"emit"' BENCH_layout_quick.json
 	rm -f BENCH_layout_quick.json
 	dune exec bench/main.exe -- scale --quick --stable --jobs 1 -o BENCH_layout_jobs1.json > /dev/null
 	dune exec bench/main.exe -- scale --quick --stable --jobs 4 -o BENCH_layout_jobs2.json > /dev/null
 	cmp BENCH_layout_jobs1.json BENCH_layout_jobs2.json
 	rm -f BENCH_layout_jobs1.json BENCH_layout_jobs2.json
 	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --mem-stats | grep -q 'peak_rss_kib='
-	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --mem-stats | grep -q 'phases: place'
+	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --time | grep -q '^ *place '
 	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --mem-stats --json | grep -q '"peak_rss_kib"'
-	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --mem-stats --json | grep -q '"layout_phases"'
+	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --mem-stats --json | grep -q '"spans"'
+	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --validate --json | grep -q '"name": "check.vias"'
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.1 --pattern bursty:tornado:8:25 --json | grep -q '"schema": "mvl.sim.run/1"'
 	# serve smoke: daemon on a temp socket, 4 parallel clients whose
 	# replies must cmp-equal the one-shot --json --stable document, the

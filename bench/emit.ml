@@ -66,9 +66,9 @@ let measure_scaling () =
   let g = grid () in
   let time_run jobs =
     Mvl.Pipeline.cache_reset ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mvl.Span.now () in
     let _rs, _stats = Mvl.Parallel.map ~jobs ~f:record g in
-    Unix.gettimeofday () -. t0
+    Mvl.Span.now () -. t0
   in
   match scaling_points with
   | [] -> Mvl.Telemetry.Null

@@ -1,8 +1,8 @@
 (* `bench scale`: the layout scale benchmark and the 10^5-node gates.
 
    Constructs and fully verifies (strict model) a grid of large
-   instances, recording per-record wall times, a per-phase breakdown of
-   layout construction ({!Layout_profile}), verify throughput in
+   instances, recording per-record wall times, the span tree of the
+   build, layout and verification ({!Mvl.Span}), verify throughput in
    segments per second, layout metrics against the paper's closed-form
    leading terms, and the process peak RSS (VmHWM) after each record.
    Results land in BENCH_layout.json (schema mvl.bench.layout/1) via
@@ -21,7 +21,7 @@
    (Families.layout_jobs); the geometry is byte-identical at every job
    count, which `--stable` makes checkable end to end: it strips the
    volatile fields (every `*_seconds` / `*_per_second` key, the
-   peak RSS, the phase breakdown) from the written records, so two runs
+   peak RSS, the spans) from the written records, so two runs
    at different job counts must produce byte-identical files.
 
    VmHWM is a process-lifetime high-water mark, so the grid runs
@@ -51,56 +51,8 @@ let full_grid =
     (gate_spec, 4);
   ]
 
-let vmhwm_kib () =
-  (* "VmHWM:    1234 kB" from /proc/self/status; 0 when unreadable *)
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file ->
-            close_in ic;
-            acc
-        | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              let rest = String.sub line 6 (String.length line - 6) in
-              let digits =
-                String.to_seq rest
-                |> Seq.filter (fun c -> c >= '0' && c <= '9')
-                |> String.of_seq
-              in
-              go (Option.value ~default:acc (int_of_string_opt digits))
-            else go acc
-      in
-      go 0
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let phase_keys =
-  [
-    "place_seconds";
-    "pack_seconds";
-    "terminals_seconds";
-    "emit_seconds";
-    "build_seconds";
-  ]
-
-let phases_json (p : Mvl.Layout_profile.phases) =
-  let open Mvl.Telemetry in
-  Obj
-    [
-      ("place_seconds", Float p.Mvl.Layout_profile.place_seconds);
-      ("pack_seconds", Float p.Mvl.Layout_profile.pack_seconds);
-      ("terminals_seconds", Float p.Mvl.Layout_profile.terminals_seconds);
-      ("emit_seconds", Float p.Mvl.Layout_profile.emit_seconds);
-      ("build_seconds", Float p.Mvl.Layout_profile.build_seconds);
-    ]
-
 (* a field the byte-identity diff must not see: wall times, throughput,
-   the RSS high-water mark and the phase breakdown all vary run to run
+   the RSS high-water mark and the spans all vary run to run
    and job count to job count *)
 let volatile_key k =
   let suffix s =
@@ -108,7 +60,7 @@ let volatile_key k =
     lk >= ls && String.sub k (lk - ls) ls = s
   in
   suffix "_seconds" || suffix "_per_second" || k = "peak_rss_kib"
-  || k = "layout_phases"
+  || k = "spans"
 
 let stable_record = function
   | Mvl.Telemetry.Obj fields ->
@@ -118,15 +70,29 @@ let stable_record = function
 
 let record ~jobs (spec_str, layers) =
   let spec = Mvl.Registry.spec_exn spec_str in
-  Mvl.Layout_profile.reset ();
-  let fam, build_s = time (fun () -> Mvl.Registry.build_exn spec) in
-  let layout, layout_s =
-    time (fun () -> fam.Mvl.Families.layout_jobs ~jobs ~layers)
+  let (fam, layout, result), spans =
+    Mvl.Span.collect (fun () ->
+        let fam =
+          Mvl.Span.with_ "build" (fun () -> Mvl.Registry.build_exn spec)
+        in
+        let layout =
+          Mvl.Span.with_ "layout" (fun () ->
+              fam.Mvl.Families.layout_jobs ~jobs ~layers)
+        in
+        let result =
+          Mvl.Span.with_ "validate" (fun () ->
+              Mvl.Check.run ~mode:Mvl.Check.Strict ~jobs layout)
+        in
+        (fam, layout, result))
   in
-  let phases = Mvl.Layout_profile.snapshot () in
-  let result, verify_s =
-    time (fun () -> Mvl.Check.run ~mode:Mvl.Check.Strict ~jobs layout)
+  let seconds name =
+    match List.find_opt (fun s -> s.Mvl.Span.name = name) spans with
+    | Some s -> s.Mvl.Span.seconds
+    | None -> 0.0
   in
+  let build_s = seconds "build"
+  and layout_s = seconds "layout"
+  and verify_s = seconds "validate" in
   let violations = List.length result.Mvl.Check.violations in
   let m = Mvl.Layout.metrics layout in
   let g = Mvl.Layout.geom layout in
@@ -134,7 +100,7 @@ let record ~jobs (spec_str, layers) =
   let seg_per_s =
     if verify_s > 0.0 then float_of_int n_segments /. verify_s else 0.0
   in
-  let peak = vmhwm_kib () in
+  let peak = Mvl.Span.peak_rss_kib () in
   let open Mvl.Telemetry in
   let fields =
     [
@@ -145,9 +111,9 @@ let record ~jobs (spec_str, layers) =
       ("n_segments", Int n_segments);
       ("build_seconds", Float build_s);
       ("layout_seconds", Float layout_s);
-      ("layout_phases", phases_json phases);
       ("verify_seconds", Float verify_s);
       ("verify_segments_per_second", Float seg_per_s);
+      ("spans", of_spans spans);
       ("violations", Int violations);
       ("area", Int m.Mvl.Layout.area);
       ("max_wire", Int m.Mvl.Layout.max_wire);
@@ -168,16 +134,11 @@ let record ~jobs (spec_str, layers) =
           ]
     | None -> fields
   in
-  Printf.printf
-    "  %-14s L=%d  N=%-6d  build %.2fs  layout %.2fs (place %.2f pack %.2f \
-     term %.2f emit %.2f)  verify %.2fs  (%.2e seg/s)  violations=%d  peak=%d \
-     KiB\n\
-     %!"
-    spec_str layers fam.Mvl.Families.n_nodes build_s layout_s
-    phases.Mvl.Layout_profile.place_seconds
-    phases.Mvl.Layout_profile.pack_seconds
-    phases.Mvl.Layout_profile.terminals_seconds
-    phases.Mvl.Layout_profile.emit_seconds verify_s seg_per_s violations peak;
+  Format.printf
+    "  %-14s L=%d  N=%-6d  build %.2fs  layout %.2fs  verify %.2fs  (%.2e \
+     seg/s)  violations=%d  peak=%d KiB@.    %a@."
+    spec_str layers fam.Mvl.Families.n_nodes build_s layout_s verify_s
+    seg_per_s violations peak Mvl.Span.pp spans;
   (Obj fields, (spec_str, violations, peak, build_s +. layout_s))
 
 let write path ~quick records =
@@ -199,7 +160,7 @@ let write path ~quick records =
       close_out oc;
       Sys.rename tmp path)
 
-let read_back path ~stable expected_records =
+let read_back path expected_records =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let contents = really_input_string ic len in
@@ -210,30 +171,7 @@ let read_back path ~stable expected_records =
       exit 1
   | Ok doc -> (
       match Mvl.Telemetry.member "records" doc with
-      | Some (Mvl.Telemetry.List rs) when List.length rs = expected_records ->
-          (* every record carries the full phase breakdown — unless
-             --stable stripped it, in which case none may remain *)
-          List.iter
-            (fun r ->
-              match Mvl.Telemetry.member "layout_phases" r with
-              | Some (Mvl.Telemetry.Obj fs) when not stable ->
-                  List.iter
-                    (fun k ->
-                      match List.assoc_opt k fs with
-                      | Some (Mvl.Telemetry.Float _) -> ()
-                      | _ ->
-                          Printf.eprintf
-                            "bench scale: %s: record missing phase field %s\n"
-                            path k;
-                          exit 1)
-                    phase_keys
-              | None when stable -> ()
-              | _ ->
-                  Printf.eprintf
-                    "bench scale: %s: bad layout_phases (stable=%b)\n" path
-                    stable;
-                  exit 1)
-            rs
+      | Some (Mvl.Telemetry.List rs) when List.length rs = expected_records -> ()
       | _ ->
           Printf.eprintf
             "bench scale: %s does not hold the %d expected records\n" path
@@ -259,7 +197,7 @@ let run ?(path = default_path) ?(quick = false) ?(jobs = 1) ?(stable = false)
   let records = List.map fst out in
   let records = if stable then List.map stable_record records else records in
   write path ~quick records;
-  read_back path ~stable (List.length records);
+  read_back path (List.length records);
   Printf.printf "wrote %s: %d records\n%!" path (List.length records);
   let failures =
     List.filter (fun (_, (_, violations, _, _)) -> violations <> 0) out

@@ -87,9 +87,7 @@ let budget_frac = 0.25
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
-let seconds_since t0 =
-  let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-  (if Int64.compare ns 1L < 0 then 1.0 else Int64.to_float ns) *. 1e-9
+let seconds_since t0 = Float.max 1e-9 (Mvl.Span.now () -. t0)
 
 (* --- phases ------------------------------------------------------------- *)
 
@@ -104,7 +102,7 @@ let warm client =
   List.mapi
     (fun i (spec, layers) ->
       let op = Mvl_serve.Protocol.Layout { spec; layers; validate = false } in
-      let t0 = Monotonic_clock.now () in
+      let t0 = Mvl.Span.now () in
       match Mvl_serve.Client.rpc client { Mvl_serve.Protocol.id = i + 1; op } with
       | Error msg -> die "bench serve: warm %s@%d: %s" spec layers msg
       | Ok payload ->
@@ -139,7 +137,7 @@ let throughput p client =
   let batch = max 1 (depth / 4) in
   let msg = line ^ "\n" in
   let batch_msg = String.concat "" (List.init batch (fun _ -> msg)) in
-  let t0 = Monotonic_clock.now () in
+  let t0 = Mvl.Span.now () in
   let sent = ref 0 and received = ref 0 in
   let send_n n =
     if n = batch then Mvl_serve.Client.send_raw client batch_msg
@@ -162,7 +160,7 @@ let latency p client =
   let req = { Mvl_serve.Protocol.id = 7; op } in
   let samples =
     Array.init p.latency_reqs (fun _ ->
-        let t0 = Monotonic_clock.now () in
+        let t0 = Mvl.Span.now () in
         match Mvl_serve.Client.rpc client req with
         | Error msg -> die "bench serve: latency rpc: %s" msg
         | Ok _ -> seconds_since t0 *. 1e6)

@@ -95,16 +95,14 @@ let time_point p ~pattern ?jobs (spec_str, load) =
   let graph = graph_of_spec spec_str in
   let config = config_of p pattern load in
   let result = ref None in
-  let best_ns = ref Int64.max_int in
+  let best = ref infinity in
   for _ = 1 to p.repeats do
-    let t0 = Monotonic_clock.now () in
+    let t0 = Mvl.Span.now () in
     let r = Mvl.Network_sim.run ~config ?jobs graph in
-    let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-    let ns = if Int64.compare ns 1L < 0 then 1L else ns in
-    if Int64.compare ns !best_ns < 0 then best_ns := ns;
+    best := Float.min !best (Float.max 1e-9 (Mvl.Span.now () -. t0));
     result := Some r
   done;
-  (Option.get !result, Int64.to_float !best_ns *. 1e-9)
+  (Option.get !result, !best)
 
 let record p ~pattern ?jobs ((spec_str, load) as point) =
   let config = config_of p pattern load in

@@ -121,34 +121,11 @@ let aggregated_cache (stats : Mvl.Parallel.stats) =
       ("misses", Mvl.Telemetry.Int stats.Mvl.Parallel.misses);
     ]
 
-(* Gc + peak-RSS snapshot for --mem-stats.  VmHWM comes from
-   /proc/self/status and reads 0 where /proc is unavailable. *)
-let vmhwm_kib () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file ->
-            close_in ic;
-            acc
-        | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              let rest = String.sub line 6 (String.length line - 6) in
-              let digits =
-                String.to_seq rest
-                |> Seq.filter (fun c -> c >= '0' && c <= '9')
-                |> String.of_seq
-              in
-              go (Option.value ~default:acc (int_of_string_opt digits))
-            else go acc
-      in
-      go 0
-
-(* finish a major cycle first: OCaml 5's quick_stat reports live/heap
-   words as 0 until one completes, which is exactly the short-lived-CLI
-   case; the heap is small next to the off-heap geometry columns, so
-   the collection is cheap even at 10^5 nodes *)
+(* Gc + peak-RSS snapshot for --mem-stats.  Finish a major cycle
+   first: OCaml 5's quick_stat reports live/heap words as 0 until one
+   completes, which is exactly the short-lived-CLI case; the heap is
+   small next to the off-heap geometry columns, so the collection is
+   cheap even at 10^5 nodes *)
 let mem_snapshot () =
   Gc.full_major ();
   Gc.quick_stat ()
@@ -160,7 +137,7 @@ let mem_json () =
       ("live_words", Mvl.Telemetry.Int s.Gc.live_words);
       ("heap_words", Mvl.Telemetry.Int s.Gc.heap_words);
       ("top_heap_words", Mvl.Telemetry.Int s.Gc.top_heap_words);
-      ("peak_rss_kib", Mvl.Telemetry.Int (vmhwm_kib ()));
+      ("peak_rss_kib", Mvl.Telemetry.Int (Mvl.Span.peak_rss_kib ()));
     ]
 
 (* --- layout command ----------------------------------------------------- *)
@@ -196,7 +173,10 @@ let layout_cmd =
   let time_arg =
     Arg.(
       value & flag
-      & info [ "time" ] ~doc:"Print per-stage wall-clock timings.")
+      & info [ "time" ]
+          ~doc:
+            "Print the span tree of wall-clock timings (stages, \
+             construction phases, verifier passes) and the total.")
   in
   let mem_stats_arg =
     Arg.(
@@ -263,16 +243,12 @@ let layout_cmd =
       | None -> ()
       | Some rep -> Format.printf "%a@." Mvl.Report.pp rep);
       if time then Format.printf "  %a@." Mvl.Pipeline.pp_timings r;
-      (if time || mem_stats then
-         match r.Mvl.Pipeline.layout_phases with
-         | Some p -> Format.printf "  phases: %a@." Mvl.Pipeline.pp_phases p
-         | None -> ());
       if mem_stats then begin
         let s = mem_snapshot () in
         Printf.printf
           "  mem: live_words=%d heap_words=%d top_heap_words=%d \
            peak_rss_kib=%d\n"
-          s.Gc.live_words s.Gc.heap_words s.Gc.top_heap_words (vmhwm_kib ())
+          s.Gc.live_words s.Gc.heap_words s.Gc.top_heap_words (Mvl.Span.peak_rss_kib ())
       end
     end;
     (match save with

@@ -62,7 +62,6 @@ module Render = Mvl_layout.Render
 module Report = Mvl_layout.Report
 module Serialize = Mvl_layout.Serialize
 module Congestion = Mvl_layout.Congestion
-module Layout_profile = Mvl_layout.Layout_profile
 module Maze_router = Mvl_layout.Maze_router
 module Order_opt = Mvl_layout.Order_opt
 
@@ -90,6 +89,7 @@ module Families = Families
 module Registry = Registry
 module Pipeline = Pipeline
 module Telemetry = Telemetry
+module Span = Mvl_span.Span
 module Parallel = Parallel
 module Domain_pool = Mvl_pool.Domain_pool
 module Barrier = Mvl_pool.Barrier

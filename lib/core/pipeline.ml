@@ -1,6 +1,5 @@
 open Mvl_layout
-
-type stage_time = { stage : string; seconds : float }
+module Span = Mvl_span.Span
 
 type t = {
   spec : Registry.spec;
@@ -10,8 +9,8 @@ type t = {
   metrics : Layout.metrics;
   validation : Check.result option;
   report : Report.t option;
-  timings : stage_time list;
-  layout_phases : Layout_profile.phases option;
+  timings : Span.t list;
+  layout_phases : unit option;
   from_cache : bool;
 }
 
@@ -99,17 +98,6 @@ let cache_reset () =
   Atomic.set misses 0;
   Atomic.set coalesced 0
 
-(* stage timing uses the OS monotonic clock (bechamel's stub around
-   clock_gettime(CLOCK_MONOTONIC)) — wall-clock time can jump backwards
-   under NTP adjustment and produced negative stage timings.  The clamp
-   keeps even a misbehaving clock source from emitting negatives. *)
-let timed stage f =
-  let t0 = Monotonic_clock.now () in
-  let v = f () in
-  let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-  let ns = if Int64.compare ns 0L < 0 then 0L else ns in
-  (v, { stage; seconds = Int64.to_float ns *. 1e-9 })
-
 let run ?validate ?(report = false) ?(cache = true) ~layers spec =
   let key = Registry.to_string spec in
   let build_family () =
@@ -120,25 +108,19 @@ let run ?validate ?(report = false) ?(cache = true) ~layers spec =
     | Some fam -> (Ok fam, false)
     | None -> (Registry.build spec, true)
   in
-  (* product families place and pack during their construction, so the
-     phase accumulator is reset before it; a family-cache hit then
-     reports zero for the phases it did not run *)
-  Layout_profile.reset ();
-  let (fam_res, fresh), t_build = timed "build" build_family in
-  match fam_res with
-  | Error msg -> Error msg
-  | Ok family ->
+  (* product families place and pack during their construction, so
+     those spans land under [build]; a family-cache hit records none *)
+  let stages () =
+    let t0 = Span.now () in
+    match Span.with_ "build" build_family with
+    | Error msg, _ -> Error msg
+    | Ok family, fresh -> (
       if cache && fresh then
         ignore
           (locked (fun () ->
-               Cache.add family_cache key family ~cost:t_build.seconds
+               Cache.add family_cache key family ~cost:(Span.now () -. t0)
                  ~size:1));
-      let phases = ref None in
-      let build () =
-        let lay = family.Families.layout ~layers in
-        phases := Some (Layout_profile.snapshot ());
-        lay
-      in
+      let build () = family.Families.layout ~layers in
       let realize () =
         if not cache then (build (), false)
         else begin
@@ -177,17 +159,13 @@ let run ?validate ?(report = false) ?(cache = true) ~layers spec =
               (* build outside the lock: a layout can take seconds and
                  other keys' lookups must not stall behind it; every
                  concurrent misser of this key blocks on [fl.cond] *)
-              let t0 = Monotonic_clock.now () in
+              let t0 = Span.now () in
               let outcome =
                 match build () with
                 | lay -> Ok lay
                 | exception e -> Error e
               in
-              let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-              let build_seconds =
-                if Int64.compare ns 0L < 0 then 0.0
-                else Int64.to_float ns *. 1e-9
-              in
+              let build_seconds = Span.now () -. t0 in
               locked (fun () ->
                   Hashtbl.remove inflight_tbl lkey;
                   (match outcome with
@@ -205,27 +183,23 @@ let run ?validate ?(report = false) ?(cache = true) ~layers spec =
               | Error e -> raise e)
         end
       in
-      (match timed "layout" realize with
+      match Span.with_ "layout" realize with
       | exception (Invalid_argument msg | Failure msg) ->
           Error (Printf.sprintf "%s: layout failed (%s)" key msg)
-      | (layout, from_cache), t_layout ->
-          let validation, t_validate =
-            match validate with
-            | None -> (None, { stage = "validate"; seconds = 0.0 })
-            | Some mode ->
-                let v, t =
-                  timed "validate" (fun () -> Check.run ~mode layout)
-                in
-                (Some v, t)
+      | layout, from_cache ->
+          let validation =
+            Option.map
+              (fun mode ->
+                Span.with_ "validate" (fun () -> Check.run ~mode layout))
+              validate
           in
-          let metrics, t_metrics =
-            timed "metrics" (fun () -> Layout.metrics layout)
+          let metrics =
+            Span.with_ "metrics" (fun () -> Layout.metrics layout)
           in
-          let report, t_report =
+          let report =
             if report then
-              let r, t = timed "report" (fun () -> Report.analyze layout) in
-              (Some r, t)
-            else (None, { stage = "report"; seconds = 0.0 })
+              Some (Span.with_ "report" (fun () -> Report.analyze layout))
+            else None
           in
           Ok
             {
@@ -236,10 +210,13 @@ let run ?validate ?(report = false) ?(cache = true) ~layers spec =
               metrics;
               validation;
               report;
-              timings = [ t_build; t_layout; t_validate; t_metrics; t_report ];
-              layout_phases = !phases;
+              timings = [];
+              layout_phases = None;
               from_cache;
             })
+  in
+  let res, timings = Span.collect stages in
+  Result.map (fun r -> { r with timings }) res
 
 let run_string ?validate ?report ?cache ~layers s =
   match Registry.parse s with
@@ -268,36 +245,22 @@ let is_valid ?(mode = Check.Strict) r =
   | Some res -> res.Check.violations = []
   | None -> Check.is_valid ~mode r.layout
 
+let stages = [ "build"; "layout"; "validate"; "metrics"; "report" ]
+
+let stage_seconds r stage =
+  match List.find_opt (fun (s : Span.t) -> s.name = stage) r.timings with
+  | Some s -> s.seconds
+  | None -> 0.0
+
 let total_seconds r =
-  List.fold_left (fun acc t -> acc +. t.seconds) 0.0 r.timings
+  List.fold_left (fun acc (s : Span.t) -> acc +. s.seconds) 0.0 r.timings
 
 let pp_timings ppf r =
-  List.iter
-    (fun t ->
-      if t.seconds > 0.0 || t.stage = "build" || t.stage = "layout" then
-        Format.fprintf ppf "%s %.4fs  " t.stage t.seconds)
-    r.timings;
-  Format.fprintf ppf "total %.4fs%s" (total_seconds r)
+  Format.fprintf ppf "@[<v>%a@,total %.4fs%s@]" Span.pp r.timings
+    (total_seconds r)
     (if r.from_cache then " (layout cached)" else "")
 
 (* --- telemetry --------------------------------------------------------- *)
-
-let phases_fields (p : Layout_profile.phases) =
-  Telemetry.
-    [
-      ("place_seconds", Float p.Layout_profile.place_seconds);
-      ("pack_seconds", Float p.Layout_profile.pack_seconds);
-      ("terminals_seconds", Float p.Layout_profile.terminals_seconds);
-      ("emit_seconds", Float p.Layout_profile.emit_seconds);
-      ("build_seconds", Float p.Layout_profile.build_seconds);
-    ]
-
-let pp_phases ppf (p : Layout_profile.phases) =
-  Format.fprintf ppf
-    "place %.4fs  pack %.4fs  terminals %.4fs  emit %.4fs  build %.4fs"
-    p.Layout_profile.place_seconds p.Layout_profile.pack_seconds
-    p.Layout_profile.terminals_seconds p.Layout_profile.emit_seconds
-    p.Layout_profile.build_seconds
 
 let to_json r =
   let open Telemetry in
@@ -312,12 +275,9 @@ let to_json r =
       ("from_cache", Bool r.from_cache);
       ( "seconds",
         Obj
-          (List.map (fun t -> (t.stage, Float t.seconds)) r.timings
+          (List.map (fun stage -> (stage, Float (stage_seconds r stage))) stages
           @ [ ("total", Float (total_seconds r)) ]) );
-      ( "layout_phases",
-        match r.layout_phases with
-        | None -> Null
-        | Some p -> Obj (phases_fields p) );
+      ("spans", of_spans r.timings);
       ( "cache",
         Obj
           [

@@ -4,9 +4,11 @@
     tests.
 
     Stages: [build] (family construction) → [layout] → [validate]
-    (optional) → [metrics] → [report] (optional).  Each run records
-    per-stage timings from the OS monotonic clock (never negative, even
-    under wall-clock adjustment).
+    (optional) → [metrics] → [report] (optional).  Each run collects
+    one {!Mvl_span.Span} forest: a root span per stage run, with the
+    construction phases ([place], [pack] under [build]; [terminals],
+    [emit], [geom] under [layout]) and the verifier passes ([check.*]
+    under [validate]) nested below.
 
     Layouts are memoized in a process-wide bounded {!Cache} keyed by
     ["spec@layers"] under the GreedyDual-Size-Frequency policy
@@ -36,8 +38,6 @@
 
 open Mvl_layout
 
-type stage_time = { stage : string; seconds : float }
-
 type t = {
   spec : Registry.spec;
   family : Families.t;
@@ -47,13 +47,14 @@ type t = {
   validation : Check.result option;
       (** [None] when validation was not requested *)
   report : Report.t option;
-  timings : stage_time list;  (** in stage order *)
-  layout_phases : Layout_profile.phases option;
-      (** per-phase breakdown of construction ({!Layout_profile}):
-          place/pack as timed during this run's family build (0 on a
-          family-cache hit), terminals/emit/build during realization;
-          recorded only when the layout was actually constructed —
-          [None] on a layout-cache hit *)
+  timings : Mvl_span.Span.t list;
+      (** the run's span forest: one root per stage run, in stage
+          order.  A family-cache hit records no [place]/[pack], a
+          layout-cache hit no [terminals]/[emit]/[geom]. *)
+  layout_phases : unit option;
+      (** always [None]: the phases are spans in [timings] now.  The
+          field stays only because the repository benchmark builds this
+          record literally; it goes with the next benchmark change. *)
   from_cache : bool;          (** the layout stage was a cache hit *)
 }
 
@@ -104,23 +105,22 @@ val is_valid : ?mode:Check.mode -> t -> bool
     [mode] is ignored. *)
 
 val total_seconds : t -> float
+(** The sum of the root spans' seconds. *)
 
 val pp_timings : Format.formatter -> t -> unit
-(** One line per stage, e.g. ["build 0.001s  layout 0.045s ..."]. *)
-
-val pp_phases : Format.formatter -> Layout_profile.phases -> unit
-(** One line: ["place 0.01s  pack 0.02s  terminals ..."]. *)
+(** The span tree ({!Mvl_span.Span.pp}), then the total seconds. *)
 
 val to_json : t -> Telemetry.json
 (** The run as one stable-key-order record:
     [{schema, spec, family, n_nodes, n_edges, layers, from_cache,
-    seconds {build,layout,validate,metrics,report,total},
-    layout_phases {place_seconds,...} | null,
+    seconds {build,layout,validate,metrics,report,total}, spans [...],
     cache {hits,misses,coalesced,size}, metrics {...},
     violations {checked,...}, report}].  ["cache"] reports the
     process-wide counters at call time; ["violations"] is
     {!Telemetry.not_validated} when validation was skipped; ["report"]
-    is [null] unless requested. *)
+    is [null] unless requested.  ["seconds"] reads each stage off its
+    root span (0 for a stage not run); ["spans"] is
+    {!Telemetry.of_spans} of [timings]. *)
 
 (* --- cache ------------------------------------------------------------- *)
 

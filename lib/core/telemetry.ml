@@ -312,7 +312,7 @@ let rec strip_volatile = function
         (List.filter_map
            (fun (k, v) ->
              if
-               k = "seconds" || k = "cache" || k = "layout_phases"
+               k = "seconds" || k = "cache" || k = "spans"
                || k = "from_cache"
              then None
              else Some (k, strip_volatile v))
@@ -321,6 +321,19 @@ let rec strip_volatile = function
   | (Null | Bool _ | Int _ | Float _ | String _) as atom -> atom
 
 (* --- typed emitters ---------------------------------------------------- *)
+
+let rec of_span (s : Mvl_span.Span.t) =
+  Obj
+    [
+      ("name", String s.name);
+      ("seconds", Float s.seconds);
+      ("minor_words", Int (int_of_float s.minor_words));
+      ("major_words", Int (int_of_float s.major_words));
+      ("count", Int s.count);
+      ("children", List (List.map of_span s.children));
+    ]
+
+let of_spans spans = List (List.map of_span spans)
 
 let of_metrics (m : Layout.metrics) =
   Obj

@@ -50,8 +50,8 @@ val keys : json -> string list
 val strip_volatile : json -> json
 (** Recursively drop the fields whose values legitimately differ
     between two otherwise identical runs: every ["seconds"] object
-    (wall-clock stage timings), every ["layout_phases"] object
-    (per-phase construction timings), every ["cache"] object
+    (wall-clock stage timings), every ["spans"] list (the
+    {!Mvl_span.Span} forest: wall times and words), every ["cache"] object
     (cumulative per-process hit/miss counters) and every ["from_cache"]
     flag (whether this particular run hit the cache).  What remains is
     a deterministic function of the inputs — the form the [--jobs]
@@ -59,6 +59,11 @@ val strip_volatile : json -> json
     byte-identity contract compare byte-for-byte. *)
 
 (* --- typed emitters ---------------------------------------------------- *)
+
+val of_spans : Mvl_span.Span.t list -> json
+(** A span forest as
+    [[{"name","seconds","minor_words","major_words","count","children"}]],
+    children nested the same way, in first-call order. *)
 
 val of_metrics : Layout.metrics -> json
 (** [{"width","height","area","layers","volume","max_wire",

@@ -5,9 +5,10 @@ let length i = i.hi - i.lo
 let contains i x = i.lo <= x && x <= i.hi
 
 let overlap_interior a b =
-  (* closed intervals share an interior point iff max lo < min hi *)
-  max a.lo b.lo < min a.hi b.hi
+  (* closed intervals share an interior point iff the larger lo lies
+     below the smaller hi *)
+  Int.max a.lo b.lo < Int.min a.hi b.hi
 
-let touches a b = max a.lo b.lo <= min a.hi b.hi
-let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let touches a b = Int.max a.lo b.lo <= Int.min a.hi b.hi
+let hull a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 let pp ppf i = Format.fprintf ppf "[%d,%d]" i.lo i.hi

@@ -13,14 +13,15 @@ let contains_interior r ~x ~y =
   r.x0 < x && x < r.x1 && r.y0 < y && y < r.y1
 
 let overlaps a b =
-  max a.x0 b.x0 <= min a.x1 b.x1 && max a.y0 b.y0 <= min a.y1 b.y1
+  Int.max a.x0 b.x0 <= Int.min a.x1 b.x1
+  && Int.max a.y0 b.y0 <= Int.min a.y1 b.y1
 
 let hull a b =
   {
-    x0 = min a.x0 b.x0;
-    y0 = min a.y0 b.y0;
-    x1 = max a.x1 b.x1;
-    y1 = max a.y1 b.y1;
+    x0 = Int.min a.x0 b.x0;
+    y0 = Int.min a.y0 b.y0;
+    x1 = Int.max a.x1 b.x1;
+    y1 = Int.max a.y1 b.y1;
   }
 
 let pp ppf r = Format.fprintf ppf "[%d..%d]x[%d..%d]" r.x0 r.x1 r.y0 r.y1

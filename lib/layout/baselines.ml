@@ -32,7 +32,7 @@ let collinear_multilayer (c : Collinear.t) ~layers =
     pitch.(u) <- Graph.degree c.Collinear.graph u + 2;
     width := !width + pitch.(u)
   done;
-  let slots = max 1 (ceil_div c.Collinear.tracks groups) in
+  let slots = Int.max 1 (ceil_div c.Collinear.tracks groups) in
   let node_h = 2 in
   let height = node_h + slots + 1 in
   let area = !width * height in

@@ -1,5 +1,6 @@
 open Mvl_geometry
 open Mvl_topology
+module Span = Mvl_span.Span
 
 type mode = Strict | Thompson
 
@@ -610,9 +611,9 @@ let check_vias c (idx : indexes) =
 (* Nodes indexed by their y rows (for H segments) and x columns (for V
    ones): one flat entry per (row-or-column, node) pair, bucketed by the
    key and sorted inside each bucket by the node's span start on the
-   other axis, with a running prefix max of the span ends.  A stabbing
+   other axis, with a running prefix maximum of the span ends.  A stabbing
    query for [qlo, qhi] binary-searches the last entry starting at or
-   before qhi and walks backwards while the prefix max still reaches
+   before qhi and walks backwards while the prefix maximum still reaches
    qlo, so it touches only overlapping candidates (plus one) instead of
    every node sharing the row/column — correct even when footprints
    overlap, which is itself a violation reported elsewhere. *)
@@ -621,7 +622,7 @@ type node_index = {
   bstart : int array; (* bucket boundaries, length keys+1 *)
   lo : int array; (* span start on the other axis, ascending per bucket *)
   hi : int array; (* span end *)
-  prefmax : int array; (* running max of [hi] within the bucket *)
+  prefmax : int array; (* running maximum of [hi] within the bucket *)
   node : int array;
 }
 
@@ -826,7 +827,7 @@ let node_entry_hit c g ends node_layers (ni : node_index) j ~along_x ~line
    follows the index's keys and one the entries of the current line,
    and only a step backwards re-seeks them by binary search.  Per
    segment, the entries starting at or before qlo are walked back while
-   their prefix max reaches it, and those starting inside the span are
+   their prefix maximum reaches it, and those starting inside the span are
    walked forward. *)
 let segments_vs_nodes c g ends node_layers (ni : node_index) ~along_x ~line ~qlo
     ~qhi ~zlo ~zhi ~wire n =
@@ -976,59 +977,41 @@ let merge_into c found =
       end)
     found
 
-(* words allocated so far by the calling domain *)
-let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
-
+(* every pass is a span on the calling domain; the sharded sweeps record
+   nothing inside their tasks, so the span tree is the same at every
+   [jobs] *)
 let run ?(mode = Strict) ?(max_violations = 20) ?(jobs = 1) layout =
-  let debug = Sys.getenv_opt "MVL_CHECK_TIMINGS" <> None in
-  let t0 = ref (Unix.gettimeofday ()) and w0 = ref (allocated_words ()) in
-  let tick label =
-    if debug then begin
-      let t = Unix.gettimeofday () and w = allocated_words () in
-      Printf.eprintf "check: %-16s %.4fs %9.3f Mwords\n%!" label (t -. !t0)
-        ((w -. !w0) /. 1e6);
-      t0 := t;
-      w0 := w
-    end
-  in
   let c = { violations = []; count = 0; limit = max_violations } in
   let g = Layout.geom layout in
   (* the sorted runs serve the wire-vs-node pass too; building them
      first reports nothing, so the passes still report in this order *)
-  let idx = build_indexes g in
-  tick "build_indexes";
-  check_layers c layout;
-  tick "layers";
-  let by_y = build_node_index g.Geom.ny0 g.Geom.ny1 g.Geom.nx0 g.Geom.nx1 g in
-  tick "node_index";
-  check_nodes c layout by_y;
-  tick "nodes";
-  check_terminals c layout;
-  tick "terminals";
-  check_wires_vs_nodes c layout by_y idx;
-  tick "wires_vs_nodes";
-  if jobs <= 1 then begin
-    iter_groups idx.h_runs (fun s e ->
-        check_collinear c Horizontal idx.h_runs s e);
-    iter_groups idx.v_runs (fun s e ->
-        check_collinear c Vertical idx.v_runs s e);
-    tick "collinear";
-    check_crossings c ~mode idx;
-    tick "crossings"
-  end
-  else begin
-    let results, _ =
-      Mvl_pool.Domain_pool.map ~domains:jobs
-        ~f:(run_shard ~mode ~max_violations idx)
-        (shards_of idx)
-    in
-    Array.iter (merge_into c) results;
-    tick "sharded sweeps"
-  end;
-  check_vias c idx;
-  tick "vias";
+  let idx = Span.with_ "check.build_indexes" (fun () -> build_indexes g) in
+  Span.with_ "check.layers" (fun () -> check_layers c layout);
+  let by_y =
+    Span.with_ "check.node_index" (fun () ->
+        build_node_index g.Geom.ny0 g.Geom.ny1 g.Geom.nx0 g.Geom.nx1 g)
+  in
+  Span.with_ "check.nodes" (fun () -> check_nodes c layout by_y);
+  Span.with_ "check.terminals" (fun () -> check_terminals c layout);
+  Span.with_ "check.wires_vs_nodes" (fun () ->
+      check_wires_vs_nodes c layout by_y idx);
+  Span.with_ "check.sweeps" (fun () ->
+      if jobs <= 1 then begin
+        iter_groups idx.h_runs (fun s e ->
+            check_collinear c Horizontal idx.h_runs s e);
+        iter_groups idx.v_runs (fun s e ->
+            check_collinear c Vertical idx.v_runs s e);
+        check_crossings c ~mode idx
+      end
+      else begin
+        let results, _ =
+          Mvl_pool.Domain_pool.map ~domains:jobs
+            ~f:(run_shard ~mode ~max_violations idx)
+            (shards_of idx)
+        in
+        Array.iter (merge_into c) results
+      end);
+  Span.with_ "check.vias" (fun () -> check_vias c idx);
   (* once the collector is full, later checks stop recording (and the
      crossing sweep stops looking), so a full collector means the list
      may be incomplete — exactly [limit] entries is NOT "all of them" *)

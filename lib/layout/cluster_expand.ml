@@ -121,7 +121,7 @@ let realize spec ~layers =
          ext_col.(l.qa) <- l :: ext_col.(l.qa);
          ext_col.(l.qb) <- l :: ext_col.(l.qb)))
     col_links;
-  (* how many external links attach to cluster position p (max over
+  (* how many external links attach to cluster position p (maximum over
      clusters), to size the node bands *)
   let ext_at = Array.make csize 0 in
   (* per (cluster, position) external-link count, flat at [q * csize + p] *)
@@ -183,7 +183,7 @@ let realize spec ~layers =
   let n_intra_edges = Array.length intra_edges in
   (* (cluster, intra edge id) -> its two endpoint terminal x's, flat at
      [2 * (q * n_intra_edges + ie)]; -1 while unassigned *)
-  let term_intra = Array.make (max 1 (2 * qn * n_intra_edges)) (-1) in
+  let term_intra = Array.make (Int.max 1 (2 * qn * n_intra_edges)) (-1) in
   let add_term_intra q ie x =
     let k = 2 * ((q * n_intra_edges) + ie) in
     if term_intra.(k) < 0 then term_intra.(k) <- x else term_intra.(k + 1) <- x
@@ -237,9 +237,9 @@ let realize spec ~layers =
      are flat at [2 * uid + (at_a ? 1 : 0)] *)
   let n_links = Array.length all_links in
   let lkey uid at_a = (2 * uid) + if at_a then 1 else 0 in
-  let term_of_link = Array.make (max 1 (2 * n_links)) (-1) in
-  let jog_of_link = Array.make (max 1 (2 * n_links)) (-1) in
-  let drop_of_link = Array.make (max 1 (2 * n_links)) (-1) in
+  let term_of_link = Array.make (Int.max 1 (2 * n_links)) (-1) in
+  let jog_of_link = Array.make (Int.max 1 (2 * n_links)) (-1) in
+  let drop_of_link = Array.make (Int.max 1 (2 * n_links)) (-1) in
   (* row links only, for [drop_of_link] *)
   for q = 0 to qn - 1 do
     (* jogs: column links first, sorted by other endpoint row (their jog
@@ -321,7 +321,7 @@ let realize spec ~layers =
     Array.iteri
       (fun ie (p1, p2) ->
         let track = intra_track.(ie) in
-        let islots = max 1 intra_slots in
+        let islots = Int.max 1 intra_slots in
         let grp = track / islots and slot = track mod islots in
         let zx = (2 * grp) + 1 and zy = zy_for grp in
         let ytrack = by q + node_h + slot in
@@ -331,7 +331,7 @@ let realize spec ~layers =
           let a = term_intra.(k) and b = term_intra.(k + 1) in
           if a < 0 || b < 0 then
             invalid_arg "Cluster_expand: intra terminals"
-          else (min a b, max a b)
+          else (Int.min a b, Int.max a b)
         in
         route_wire
           (find_edge (xnode q p1) (xnode q p2))
@@ -352,7 +352,7 @@ let realize spec ~layers =
     (fun r links ->
       Array.iter
         (fun l ->
-          let slots = max 1 row_slots.(r) in
+          let slots = Int.max 1 row_slots.(r) in
           let grp = l.track / slots and slot = l.track mod slots in
           let zx = (2 * grp) + 1 and zy = zy_for grp in
           let ytrack = htrack_y r slot in
@@ -390,7 +390,7 @@ let realize spec ~layers =
     (fun c links ->
       Array.iter
         (fun l ->
-          let slots = max 1 col_slots.(c) in
+          let slots = Int.max 1 col_slots.(c) in
           let grp = l.track / slots and slot = l.track mod slots in
           let zx = (2 * grp) + 1 and zv = (2 * grp) + 2 in
           let xtrack = vtrack_x c slot in

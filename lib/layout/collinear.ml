@@ -116,7 +116,9 @@ let validate t =
   match !conflict with Some msg -> Error msg | None -> Ok ()
 
 let max_span t =
-  Array.fold_left (fun acc e -> max acc (Interval.length (span t e))) 0 t.edges
+  Array.fold_left
+    (fun acc e -> Int.max acc (Interval.length (span t e)))
+    0 t.edges
 
 let density_lower_bound t =
   Track_assign.max_density (Array.map (fun e -> span t e) t.edges)

@@ -45,7 +45,7 @@ let create_explicit n =
         (* 4-copy step consuming dims m-1, m-2: the C4 edges *)
         let label_u = (u lsr (m - 2)) land 3 and label_v = (v lsr (m - 2)) land 3 in
         let off_u = inv.(label_u) and off_v = inv.(label_v) in
-        let lo = min off_u off_v and hi = max off_u off_v in
+        let lo = Int.min off_u off_v and hi = Int.max off_u off_v in
         (* consecutive offsets share the first fresh track; the wrap
            (offsets 0 and 3) takes the second *)
         if hi - lo = 1 then 4 * f_explicit (m - 2)
@@ -65,6 +65,6 @@ let create_explicit n =
       (Graph.edges graph)
   in
   let tracks =
-    Array.fold_left (fun acc e -> max acc (e.Collinear.track + 1)) 0 edges
+    Array.fold_left (fun acc e -> Int.max acc (e.Collinear.track + 1)) 0 edges
   in
   { Collinear.graph; node_at; position; edges; tracks }

@@ -46,7 +46,7 @@ let create_explicit ~k ~n =
     let fresh =
       (* within level j+1: adjacent-ring edges -> first fresh track;
          the wrap edge -> second *)
-      let a = min du.(j) dv.(j) and b = max du.(j) dv.(j) in
+      let a = Int.min du.(j) dv.(j) and b = Int.max du.(j) dv.(j) in
       if b - a = 1 then k * f.(j) else (k * f.(j)) + 1
     in
     (* embed into enclosing levels: at level m (from j+2 to n), the edge
@@ -63,6 +63,6 @@ let create_explicit ~k ~n =
       (Graph.edges graph)
   in
   let tracks =
-    Array.fold_left (fun acc e -> max acc (e.Collinear.track + 1)) 0 edges
+    Array.fold_left (fun acc e -> Int.max acc (e.Collinear.track + 1)) 0 edges
   in
   { Collinear.graph; node_at; position; edges; tracks }

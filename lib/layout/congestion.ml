@@ -17,7 +17,7 @@ type t = {
 
 let analyze (o : Orthogonal.t) =
   let build tracks edge_count =
-    let max_tracks = Array.fold_left max 0 tracks in
+    let max_tracks = Array.fold_left Int.max 0 tracks in
     let channels =
       Array.mapi
         (fun i t ->

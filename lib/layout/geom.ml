@@ -183,19 +183,19 @@ module Builder = struct
 
   let create ~n_nodes ~n_wires =
     if n_nodes < 0 || n_wires < 0 then invalid_arg "Geom.Builder.create";
-    let cap = max 16 (n_wires * 8) in
+    let cap = Int.max 16 (n_wires * 8) in
     {
       n_nodes;
       n_wires;
-      bnx0 = Array.make (max 1 n_nodes) 0;
-      bny0 = Array.make (max 1 n_nodes) 0;
-      bnx1 = Array.make (max 1 n_nodes) 0;
-      bny1 = Array.make (max 1 n_nodes) 0;
-      node_set = Bytes.make (max 1 n_nodes) '\000';
-      wu = Array.make (max 1 n_wires) 0;
-      wv = Array.make (max 1 n_wires) 0;
-      wstart = Array.make (max 1 n_wires) (-1);
-      wcount = Array.make (max 1 n_wires) 0;
+      bnx0 = Array.make (Int.max 1 n_nodes) 0;
+      bny0 = Array.make (Int.max 1 n_nodes) 0;
+      bnx1 = Array.make (Int.max 1 n_nodes) 0;
+      bny1 = Array.make (Int.max 1 n_nodes) 0;
+      node_set = Bytes.make (Int.max 1 n_nodes) '\000';
+      wu = Array.make (Int.max 1 n_wires) 0;
+      wv = Array.make (Int.max 1 n_wires) 0;
+      wstart = Array.make (Int.max 1 n_wires) (-1);
+      wcount = Array.make (Int.max 1 n_wires) 0;
       bx = Array.make cap 0;
       by = Array.make cap 0;
       bz = Array.make cap 0;
@@ -383,17 +383,17 @@ module Builder = struct
       fn_nodes = n_nodes;
       fn_wires = n_wires;
       f_off = off;
-      f_eu = alloc (max 1 n_wires);
-      f_ev = alloc (max 1 n_wires);
-      f_px = alloc (max 1 n_points);
-      f_py = alloc (max 1 n_points);
-      f_pz = alloc (max 1 n_points);
-      f_nx0 = alloc (max 1 n_nodes);
-      f_ny0 = alloc (max 1 n_nodes);
-      f_nx1 = alloc (max 1 n_nodes);
-      f_ny1 = alloc (max 1 n_nodes);
-      f_node_set = Bytes.make (max 1 n_nodes) '\000';
-      f_wire_set = Bytes.make (max 1 n_wires) '\000';
+      f_eu = alloc (Int.max 1 n_wires);
+      f_ev = alloc (Int.max 1 n_wires);
+      f_px = alloc (Int.max 1 n_points);
+      f_py = alloc (Int.max 1 n_points);
+      f_pz = alloc (Int.max 1 n_points);
+      f_nx0 = alloc (Int.max 1 n_nodes);
+      f_ny0 = alloc (Int.max 1 n_nodes);
+      f_nx1 = alloc (Int.max 1 n_nodes);
+      f_ny1 = alloc (Int.max 1 n_nodes);
+      f_node_set = Bytes.make (Int.max 1 n_nodes) '\000';
+      f_wire_set = Bytes.make (Int.max 1 n_wires) '\000';
     }
 
   let set_node_fixed fx i ~x0 ~y0 ~x1 ~y1 =

@@ -11,7 +11,7 @@ type placement = {
 let grid_placement graph ~rows ~cols ~margin ~layers =
   let n = Graph.n graph in
   if rows * cols < n then invalid_arg "Maze_router.grid_placement: grid too small";
-  let side = max 3 (Graph.max_degree graph + 2) in
+  let side = Int.max 3 (Graph.max_degree graph + 2) in
   let pitch = side + margin in
   let nodes =
     Array.init n (fun u ->

@@ -1,4 +1,5 @@
 open Mvl_topology
+module Span = Mvl_span.Span
 
 type groups = { horizontal : int; vertical : int }
 
@@ -37,10 +38,13 @@ let eid_mask = (1 lsl eid_bits) - 1
 
 let subset_msg = "Multilayer: full graph must contain every orthogonal edge"
 
-let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
-    ?(node_extra_rows = 0) ?total_layers ?(jobs = 1) (o : Orthogonal.t)
+(* everything before emission: the edge split, slots, band sizes,
+   coordinates, terminal positions and the exact wire sizes; returns
+   the full graph's edges, each orthogonal edge's full-graph id, the
+   extra links, the frame, the a-/b-side terminal coordinate of each
+   orthogonal edge and the sized geometry builder *)
+let plan ~node_side ~col_gap_extra ~node_extra_rows (o : Orthogonal.t)
     ~full_graph ~layers =
-  let t_terms = Unix.gettimeofday () in
   let g = groups_for_layers layers in
   let n = Graph.n o.graph in
   if Graph.n full_graph <> n then
@@ -57,8 +61,8 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
   let m_ortho = Array.length ortho_edges in
   let n_extra = m_full - m_ortho in
   if n_extra < 0 then invalid_arg subset_msg;
-  let full_of_ortho = Array.make (max 1 m_ortho) 0 in
-  let extra_ids = Array.make (max 1 n_extra) 0 in
+  let full_of_ortho = Array.make (Int.max 1 m_ortho) 0 in
+  let extra_ids = Array.make (Int.max 1 n_extra) 0 in
   let oi = ref 0 and xi = ref 0 in
   for i = 0 to m_full - 1 do
     let u, v = full_edges.(i) in
@@ -106,8 +110,8 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
   (* a slot may be shared by links of *different* groups (same in-plane
      position, different layers), so slot allocation is per (gap, group)
      — flat counters indexed [gap * vertical + grp] *)
-  let h_grp_count = Array.make (max 1 (o.rows * g.vertical)) 0 in
-  let v_grp_count = Array.make (max 1 (o.cols * g.vertical)) 0 in
+  let h_grp_count = Array.make (Int.max 1 (o.rows * g.vertical)) 0 in
+  let v_grp_count = Array.make (Int.max 1 (o.cols * g.vertical)) 0 in
   let h_total = Array.make o.rows 0 in
   Array.iter
     (fun l ->
@@ -120,8 +124,10 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
       let vk = (c_dst * g.vertical) + l.grp in
       l.vslot <- col_slots.(c_dst) + v_grp_count.(vk);
       v_grp_count.(vk) <- v_grp_count.(vk) + 1;
-      extra_h.(r_src) <- max extra_h.(r_src) (l.hslot - row_slots.(r_src) + 1);
-      extra_v.(c_dst) <- max extra_v.(c_dst) (l.vslot - col_slots.(c_dst) + 1);
+      extra_h.(r_src) <-
+        Int.max extra_h.(r_src) (l.hslot - row_slots.(r_src) + 1);
+      extra_v.(c_dst) <-
+        Int.max extra_v.(c_dst) (l.vslot - col_slots.(c_dst) + 1);
       row_extra_top.(l.src) <- row_extra_top.(l.src) + 1;
       col_extra_right.(l.dst) <- col_extra_right.(l.dst) + 1)
     extras;
@@ -148,10 +154,12 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
     for c = 0 to o.cols - 1 do
       let u = o.node_at.(r).(c) in
       col_w.(c) <-
-        max col_w.(c) (max node_side (row_deg.(u) + row_extra_top.(u) + 2));
+        Int.max col_w.(c)
+          (Int.max node_side (row_deg.(u) + row_extra_top.(u) + 2));
       row_h.(r) <-
-        max row_h.(r)
-          (max node_side (col_deg.(u) + col_extra_right.(u) + node_extra_rows + 2))
+        Int.max row_h.(r)
+          (Int.max node_side
+             (col_deg.(u) + col_extra_right.(u) + node_extra_rows + 2))
     done
   done;
   (* --- coordinates ----------------------------------------------------- *)
@@ -165,8 +173,6 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
     row_y0.(r) <-
       row_y0.(r - 1) + row_h.(r - 1) + row_slots.(r - 1) + extra_h.(r - 1) + 1
   done;
-  let vtrack_x c slot = col_x0.(c) + col_w.(c) + slot in
-  let htrack_y r slot = row_y0.(r) + row_h.(r) + slot in
   (* --- terminals --------------------------------------------------------
      Per-node incidence in CSR form: one packed (other position, edge
      id) key per edge endpoint, offsets from the degree counts above.
@@ -176,14 +182,15 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
      into flat edge-indexed [term_a]/[term_b] columns: a row edge's
      smaller-column endpoint always gets the smaller x (columns bands
      ascend with the column index), so a-side/b-side replaces the
-     min/max over the historical double-binding Hashtbl protocol. *)
+     minimum/maximum choice of the historical double-binding Hashtbl
+     protocol. *)
   let row_ioff = Array.make (n + 1) 0 and col_ioff = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     row_ioff.(u + 1) <- row_ioff.(u) + row_deg.(u);
     col_ioff.(u + 1) <- col_ioff.(u) + col_deg.(u)
   done;
-  let row_ikey = Array.make (max 1 row_ioff.(n)) 0 in
-  let col_ikey = Array.make (max 1 col_ioff.(n)) 0 in
+  let row_ikey = Array.make (Int.max 1 row_ioff.(n)) 0 in
+  let col_ikey = Array.make (Int.max 1 col_ioff.(n)) 0 in
   let row_icur = Array.copy row_ioff and col_icur = Array.copy col_ioff in
   for r = 0 to o.rows - 1 do
     for k = o.row_off.(r) to o.row_off.(r + 1) - 1 do
@@ -207,8 +214,8 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
       col_icur.(v) <- col_icur.(v) + 1
     done
   done;
-  let term_a = Array.make (max 1 m_ortho) 0 in
-  let term_b = Array.make (max 1 m_ortho) 0 in
+  let term_a = Array.make (Int.max 1 m_ortho) 0 in
+  let term_b = Array.make (Int.max 1 m_ortho) 0 in
   let row_used = Array.make n 0 and col_used = Array.make n 0 in
   for u = 0 to n - 1 do
     let r, c = o.place.(u) in
@@ -258,7 +265,7 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
     done
   done;
   for c = 0 to o.cols - 1 do
-    let slots = max 1 col_slots.(c) in
+    let slots = Int.max 1 col_slots.(c) in
     for k = o.col_off.(c) to o.col_off.(c + 1) - 1 do
       let count = if o.col_track.(k) / slots = 0 then 6 else 8 in
       wire_counts.(full_of_ortho.(o.col_eid.(k))) <- count
@@ -274,16 +281,27 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
       ~x1:(col_x0.(c) + col_w.(c) - 1)
       ~y1:(row_y0.(r) + row_h.(r) - 1)
   done;
-  Layout_profile.record Terminals (Unix.gettimeofday () -. t_terms);
+  let frame = { col_x0; col_w; row_y0; row_h; col_slots; row_slots } in
+  (full_edges, full_of_ortho, extras, frame, term_a, term_b, fx)
+
+let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
+    ?(node_extra_rows = 0) ?total_layers ?(jobs = 1) (o : Orthogonal.t)
+    ~full_graph ~layers =
+  let full_edges, full_of_ortho, extras, frame, term_a, term_b, fx =
+    Span.with_ "terminals" (fun () ->
+        plan ~node_side ~col_gap_extra ~node_extra_rows o ~full_graph ~layers)
+  in
+  let { col_x0; col_w; row_y0; row_h; col_slots; row_slots } = frame in
+  let vtrack_x c slot = col_x0.(c) + col_w.(c) + slot in
+  let htrack_y r slot = row_y0.(r) + row_h.(r) + slot in
   (* --- routing ------------------------------------------------------------
      Wires emit straight from the flat columns into their fixed ranges;
      rows and columns chunk across domains when [jobs > 1].  Every
      emission order produces the same layout: a wire's slots depend
      only on its id, and its points only on precomputed columns. *)
-  let t_emit = Unix.gettimeofday () in
   let emit_rows w r_lo r_hi =
     for r = r_lo to r_hi - 1 do
-      let slots = max 1 row_slots.(r) in
+      let slots = Int.max 1 row_slots.(r) in
       let ytop = row_y0.(r) + row_h.(r) - 1 in
       for k = o.row_off.(r) to o.row_off.(r + 1) - 1 do
         let eid = o.row_eid.(k) in
@@ -313,7 +331,7 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
   in
   let emit_cols w c_lo c_hi =
     for c = c_lo to c_hi - 1 do
-      let slots = max 1 col_slots.(c) in
+      let slots = Int.max 1 col_slots.(c) in
       let xright = col_x0.(c) + col_w.(c) - 1 in
       for k = o.col_off.(c) to o.col_off.(c + 1) - 1 do
         let eid = o.col_eid.(k) in
@@ -365,45 +383,42 @@ let realize_general ?(node_side = 0) ?(z_offset = 0) ?(col_gap_extra = 0)
         Geom.Builder.fixed_point w ~x:xright ~y:l.term_y ~z:z1)
       extras
   in
-  let jobs = max 1 jobs in
-  (if jobs = 1 then begin
-     let w = Geom.Builder.writer fx in
-     emit_rows w 0 o.rows;
-     emit_cols w 0 o.cols;
-     emit_extras w;
-     Geom.Builder.writer_done w
-   end
-   else begin
-     let _, _stats =
-       Mvl_pool.Domain_pool.map ~domains:jobs
-         ~f:(fun t ->
-           let w = Geom.Builder.writer fx in
-           (if t < jobs then
-              emit_rows w (t * o.rows / jobs) ((t + 1) * o.rows / jobs)
-            else begin
-              let wk = t - jobs in
-              emit_cols w (wk * o.cols / jobs) ((wk + 1) * o.cols / jobs)
-            end);
-           Geom.Builder.writer_done w)
-         (Array.init (2 * jobs) (fun t -> t))
-     in
-     let w = Geom.Builder.writer fx in
-     emit_extras w;
-     Geom.Builder.writer_done w
-   end);
-  Layout_profile.record Emit (Unix.gettimeofday () -. t_emit);
+  let jobs = Int.max 1 jobs in
+  Span.with_ "emit" (fun () ->
+      if jobs = 1 then begin
+        let w = Geom.Builder.writer fx in
+        emit_rows w 0 o.rows;
+        emit_cols w 0 o.cols;
+        emit_extras w;
+        Geom.Builder.writer_done w
+      end
+      else begin
+        let _, _stats =
+          Mvl_pool.Domain_pool.map ~domains:jobs
+            ~f:(fun t ->
+              let w = Geom.Builder.writer fx in
+              (if t < jobs then
+                 emit_rows w (t * o.rows / jobs) ((t + 1) * o.rows / jobs)
+               else
+                 let wk = t - jobs in
+                 emit_cols w (wk * o.cols / jobs) ((wk + 1) * o.cols / jobs));
+              Geom.Builder.writer_done w)
+            (Array.init (2 * jobs) (fun t -> t))
+        in
+        let w = Geom.Builder.writer fx in
+        emit_extras w;
+        Geom.Builder.writer_done w
+      end);
   (* build_fixed raises on any edge left unrouted *)
-  let geom =
-    Layout_profile.timed Build (fun () -> Geom.Builder.build_fixed fx)
-  in
+  let geom = Span.with_ "geom" (fun () -> Geom.Builder.build_fixed fx) in
   let declared_layers = Option.value total_layers ~default:(layers + z_offset) in
   let node_layers =
-    if z_offset = 0 then None else Some (Array.make n (1 + z_offset))
+    if z_offset = 0 then None
+    else Some (Array.make (Graph.n o.graph) (1 + z_offset))
   in
   let layout =
     Layout.of_geom ~graph:full_graph ~layers:declared_layers ?node_layers geom
   in
-  let frame = { col_x0; col_w; row_y0; row_h; col_slots; row_slots } in
   (layout, frame)
 
 let realize ?node_side ?jobs o ~layers =

@@ -1,4 +1,5 @@
 open Mvl_topology
+module Span = Mvl_span.Span
 
 type line_edge = { edge_id : int; a : int; b : int; track : int }
 
@@ -22,8 +23,9 @@ type t = {
   col_tracks : int array;
 }
 
-let create ?(jobs = 1) graph ~rows ~cols ~place =
-  let t_place = Unix.gettimeofday () in
+(* placement, edge classification and the CSR fill; tracks are left
+   for [pack_tracks] *)
+let place_edges graph ~rows ~cols ~place =
   let n = Graph.n graph in
   if rows * cols <> n then
     invalid_arg
@@ -76,23 +78,44 @@ let create ?(jobs = 1) graph ~rows ~cols ~place =
         let k = row_cur.(ru) in
         row_cur.(ru) <- k + 1;
         row_eid.(k) <- e;
-        row_a.(k) <- min cu cv;
-        row_b.(k) <- max cu cv
+        row_a.(k) <- Int.min cu cv;
+        row_b.(k) <- Int.max cu cv
       end
       else begin
         let k = col_cur.(cu) in
         col_cur.(cu) <- k + 1;
         col_eid.(k) <- e;
-        col_a.(k) <- min ru rv;
-        col_b.(k) <- max ru rv
+        col_a.(k) <- Int.min ru rv;
+        col_b.(k) <- Int.max ru rv
       end);
-  Layout_profile.record Place (Unix.gettimeofday () -. t_place);
-  (* per-line track packing: lines are independent, so a unified line
-     index [0, rows + cols) shards across domains in contiguous chunks;
-     each line writes only its own track slice and tracks cell, and the
-     result per line is deterministic, so output is identical at every
-     job count *)
-  let t_pack = Unix.gettimeofday () in
+  {
+    graph;
+    rows;
+    cols;
+    place = placements;
+    node_at;
+    row_off;
+    row_eid;
+    row_a;
+    row_b;
+    row_track;
+    col_off;
+    col_eid;
+    col_a;
+    col_b;
+    col_track;
+    row_tracks = [||];
+    col_tracks = [||];
+  }
+
+(* per-line track packing: lines are independent, so a unified line
+   index [0, rows + cols) shards across domains in contiguous chunks;
+   each line writes only its own track slice and tracks cell, and the
+   result per line is deterministic, so output is identical at every
+   job count *)
+let pack_tracks ~jobs o =
+  let { rows; cols; row_off; row_a; row_b; row_track; _ } = o in
+  let { col_off; col_a; col_b; col_track; _ } = o in
   let row_tracks = Array.make rows 0 and col_tracks = Array.make cols 0 in
   let pack_range s line_lo line_hi =
     for line = line_lo to line_hi - 1 do
@@ -111,7 +134,7 @@ let create ?(jobs = 1) graph ~rows ~cols ~place =
     done
   in
   let lines = rows + cols in
-  let jobs = if jobs <= 1 then 1 else min jobs (max 1 lines) in
+  let jobs = if jobs <= 1 then 1 else Int.min jobs (Int.max 1 lines) in
   if jobs = 1 then pack_range (Track_assign.scratch ()) 0 lines
   else begin
     let workers = Array.init jobs (fun w -> w) in
@@ -124,26 +147,11 @@ let create ?(jobs = 1) graph ~rows ~cols ~place =
     in
     ()
   end;
-  Layout_profile.record Pack (Unix.gettimeofday () -. t_pack);
-  {
-    graph;
-    rows;
-    cols;
-    place = placements;
-    node_at;
-    row_off;
-    row_eid;
-    row_a;
-    row_b;
-    row_track;
-    col_off;
-    col_eid;
-    col_a;
-    col_b;
-    col_track;
-    row_tracks;
-    col_tracks;
-  }
+  { o with row_tracks; col_tracks }
+
+let create ?(jobs = 1) graph ~rows ~cols ~place =
+  let o = Span.with_ "place" (fun () -> place_edges graph ~rows ~cols ~place) in
+  Span.with_ "pack" (fun () -> pack_tracks ~jobs o)
 
 let of_product ?jobs ~row_factor ~col_factor graph =
   let na = Graph.n row_factor.Collinear.graph in
@@ -203,7 +211,7 @@ let count_degrees t ~of_rows =
         deg.(v) <- deg.(v) + 1
       done
     done;
-  Array.fold_left max 0 deg
+  Array.fold_left Int.max 0 deg
 
 let max_row_degree t = count_degrees t ~of_rows:true
 let max_col_degree t = count_degrees t ~of_rows:false

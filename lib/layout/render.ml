@@ -7,7 +7,7 @@ let collinear_ascii ?label (c : Collinear.t) =
   (* column of each position: nodes are cellw wide, 1 space apart *)
   let cellw =
     Array.fold_left
-      (fun acc u -> max acc (String.length (label u)))
+      (fun acc u -> Int.max acc (String.length (label u)))
       1 c.Collinear.node_at
     + 2
   in
@@ -23,8 +23,9 @@ let collinear_ascii ?label (c : Collinear.t) =
   Array.iter
     (fun (e : Collinear.edge) ->
       let row = canvas_rows - 1 - e.track in
-      let x1 = col (min c.Collinear.position.(e.u) c.Collinear.position.(e.v)) in
-      let x2 = col (max c.Collinear.position.(e.u) c.Collinear.position.(e.v)) in
+      let pu = c.Collinear.position.(e.u) and pv = c.Collinear.position.(e.v) in
+      let x1 = col (Int.min pu pv) in
+      let x2 = col (Int.max pu pv) in
       put row x1 '+';
       put row x2 '+';
       for x = x1 + 1 to x2 - 1 do
@@ -110,7 +111,7 @@ let layout_svg ?(scale = 4) (t : Layout.t) =
         Buffer.add_string buf
           (Printf.sprintf
              "<circle cx=\"%d\" cy=\"%d\" r=\"%d\" fill=\"#222222\"/>\n"
-             (sx xa) (sy ya) (max 1 (scale / 3)))
+             (sx xa) (sy ya) (Int.max 1 (scale / 3)))
       else begin
         (* draw from the lesser endpoint along the running axis, matching
            the normalization Segment.make used to apply *)
@@ -122,7 +123,7 @@ let layout_svg ?(scale = 4) (t : Layout.t) =
              "<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" \
               stroke=\"%s\" stroke-width=\"%d\"/>\n"
              (sx xa) (sy ya) (sx xb) (sy yb) (layer_color za)
-             (max 1 (scale / 4)))
+             (Int.max 1 (scale / 4)))
       end
     done
   done;

@@ -30,7 +30,9 @@ let analyze (layout : Layout.t) =
   let count = Array.length lengths in
   let pick fraction =
     if count = 0 then 0
-    else lengths.(min (count - 1) (int_of_float (float_of_int count *. fraction)))
+    else
+      let i = int_of_float (float_of_int count *. fraction) in
+      lengths.(Int.min (count - 1) i)
   in
   (* a Hashtbl keyed by z keeps user-loaded layouts with out-of-range
      layers from crashing the report *)

@@ -72,7 +72,7 @@ let scratch () =
 let ensure a n =
   if Array.length a >= n then a
   else begin
-    let cap = ref (max 64 (Array.length a)) in
+    let cap = ref (Int.max 64 (Array.length a)) in
     while !cap < n do
       cap := !cap * 2
     done;
@@ -235,7 +235,8 @@ let greedy spans =
 
 let max_density spans =
   let count = Array.length spans in
-  let lo = Array.make (max 1 count) 0 and hi = Array.make (max 1 count) 0 in
+  let lo = Array.make (Int.max 1 count) 0
+  and hi = Array.make (Int.max 1 count) 0 in
   Array.iteri
     (fun i s ->
       lo.(i) <- s.Interval.lo;
@@ -244,4 +245,4 @@ let max_density spans =
   max_density_into (scratch ()) ~lo ~hi ~off:0 ~len:count
 
 let count_tracks assignment =
-  Array.fold_left (fun acc t -> max acc (t + 1)) 0 assignment
+  Array.fold_left (fun acc t -> Int.max acc (t + 1)) 0 assignment

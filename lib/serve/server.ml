@@ -143,15 +143,12 @@ let worker t =
     match job with
     | None -> ()
     | Some job ->
-        let t0 = Monotonic_clock.now () in
+        let t0 = Mvl.Span.now () in
         let result =
           try Protocol.eval job.op
           with e -> Error (Printexc.to_string e)
         in
-        let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-        let seconds =
-          if Int64.compare ns 0L < 0 then 0.0 else Int64.to_float ns *. 1e-9
-        in
+        let seconds = Mvl.Span.now () -. t0 in
         Mutex.lock t.done_mu;
         Fun.protect ~finally:(fun () -> Mutex.unlock t.done_mu) (fun () ->
             Queue.push (job.key, result, seconds) t.done_q);
@@ -287,7 +284,7 @@ let handle_request t c line =
             (Protocol.encode_reply_ok ~id ~payload:shutdown_payload);
           if not t.stop then begin
             t.stop <- true;
-            t.stop_at <- Unix.gettimeofday ();
+            t.stop_at <- Mvl.Span.now ();
             log t "shutdown requested"
           end
       | Protocol.Stats ->
@@ -341,7 +338,7 @@ let read_client t c =
   match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> disconnect t c
   | n ->
-      c.last_active <- Unix.gettimeofday ();
+      c.last_active <- Mvl.Span.now ();
       Buffer.add_subbytes c.inbuf read_chunk 0 n;
       process_lines t c
   | exception
@@ -365,7 +362,7 @@ let accept_new t =
           pending = Ring_buffer.create ~dummy:"" ();
           out = "";
           out_off = 0;
-          last_active = Unix.gettimeofday ();
+          last_active = Mvl.Span.now ();
           alive = true;
         }
       in
@@ -420,7 +417,7 @@ let drain_done t =
 
 let idle_scan t =
   if t.config.idle_timeout > 0.0 then begin
-    let now = Unix.gettimeofday () in
+    let now = Mvl.Span.now () in
     List.iter
       (fun c ->
         if c.alive && now -. c.last_active > t.config.idle_timeout then begin
@@ -445,7 +442,7 @@ let serve t =
   log t "listening (%d workers)" (Array.length workers);
   let finished () =
     t.stop
-    && (all_flushed t || Unix.gettimeofday () -. t.stop_at > 2.0)
+    && (all_flushed t || Mvl.Span.now () -. t.stop_at > 2.0)
   in
   while not (finished ()) do
     let snapshot = t.clients in

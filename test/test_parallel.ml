@@ -127,19 +127,27 @@ let test_split_seed () =
   Alcotest.(check bool) "seed-sensitive" true
     (a <> Mvl.Domain_pool.split_seed ~seed:43 ~index:0)
 
-(* the layout phase accumulator is domain-local: a construction on a
-   spawned domain (a serve worker, a Parallel.map job) must not leak
-   into the calling domain's phases *)
-let test_layout_profile_domain_local () =
-  Mvl.Layout_profile.reset ();
-  Domain.join
-    (Domain.spawn (fun () ->
-         Mvl.Layout_profile.reset ();
-         Mvl.Layout_profile.record Mvl.Layout_profile.Place 1.0;
-         Alcotest.(check (float 0.0)) "recorded on its own domain" 1.0
-           (Mvl.Layout_profile.snapshot ()).Mvl.Layout_profile.place_seconds));
-  Alcotest.(check (float 0.0)) "absent from the main domain" 0.0
-    (Mvl.Layout_profile.snapshot ()).Mvl.Layout_profile.place_seconds
+(* spans are domain-local: a construction on a spawned domain (a serve
+   worker, a Parallel.map job) records into that domain's collector, if
+   any, never into the calling domain's *)
+let test_spans_domain_local () =
+  let names spans = List.map (fun (s : Mvl.Span.t) -> s.Mvl.Span.name) spans in
+  let (), spans =
+    Mvl.Span.collect (fun () ->
+        Mvl.Span.with_ "main" (fun () ->
+            Domain.join
+              (Domain.spawn (fun () ->
+                   Mvl.Span.with_ "uncollected" ignore;
+                   let (), own =
+                     Mvl.Span.collect (fun () -> Mvl.Span.with_ "own" ignore)
+                   in
+                   Alcotest.(check (list string)) "recorded on its own domain"
+                     [ "own" ] (names own)))))
+  in
+  Alcotest.(check (list string)) "absent from the main domain" [ "main" ]
+    (names spans);
+  Alcotest.(check int) "no children leaked in" 0
+    (List.length (List.hd spans).Mvl.Span.children)
 
 let test_small_inputs () =
   let f i = Mvl.Telemetry.Obj [ ("i", Mvl.Telemetry.Int i) ] in
@@ -235,7 +243,7 @@ let suite =
     Alcotest.test_case "split_seed streams" `Quick test_split_seed;
     Alcotest.test_case "empty and singleton inputs" `Quick test_small_inputs;
     Alcotest.test_case "layout phases are domain-local" `Quick
-      test_layout_profile_domain_local;
+      test_spans_domain_local;
     Alcotest.test_case "default job count bounds" `Quick
       test_default_jobs_bounds;
     Alcotest.test_case "barrier basics" `Quick test_barrier_basics;

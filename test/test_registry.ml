@@ -184,23 +184,30 @@ let test_pipeline_stages () =
         (Array.length (Mvl.Layout.wires r.Mvl.Pipeline.layout))
         rep.Mvl.Report.wire_count
   | None -> Alcotest.fail "report requested but absent");
-  Alcotest.(check int) "five stage timings" 5
-    (List.length r.Mvl.Pipeline.timings);
+  Alcotest.(check (list string)) "one root span per stage run"
+    [ "build"; "layout"; "validate"; "metrics"; "report" ]
+    (List.map (fun (s : Mvl.Span.t) -> s.Mvl.Span.name) r.Mvl.Pipeline.timings);
   Alcotest.(check bool) "total time is finite and non-negative" true
     (Mvl.Pipeline.total_seconds r >= 0.0)
 
-(* place and pack run inside the product family's construction, so the
-   phase accumulator must be reset before the family build, not after
-   it — otherwise both read 0 in every record *)
+(* place and pack run inside the product family's construction, so
+   their spans belong under [build]; terminals, emit and geom under
+   [layout] *)
 let test_pipeline_phases_cover_family_build () =
   let r = Mvl.Pipeline.run_exn ~cache:false ~layers:4 "hypercube:10" in
-  match r.Mvl.Pipeline.layout_phases with
-  | None -> Alcotest.fail "an uncached run must report layout phases"
-  | Some p ->
-      Alcotest.(check bool) "place + pack measured" true
-        (p.Mvl.Layout_profile.place_seconds
-         +. p.Mvl.Layout_profile.pack_seconds
-        > 0.0)
+  let children stage =
+    match
+      List.find_opt
+        (fun (s : Mvl.Span.t) -> s.Mvl.Span.name = stage)
+        r.Mvl.Pipeline.timings
+    with
+    | None -> Alcotest.failf "no %s span" stage
+    | Some s -> List.map (fun (c : Mvl.Span.t) -> c.Mvl.Span.name) s.children
+  in
+  Alcotest.(check (list string)) "place and pack under build"
+    [ "place"; "pack" ] (children "build");
+  Alcotest.(check (list string)) "realization phases under layout"
+    [ "terminals"; "emit"; "geom" ] (children "layout")
 
 let test_pipeline_error_paths () =
   (match Mvl.Pipeline.run_string ~layers:2 "hypercube:abc" with

@@ -103,7 +103,7 @@ let test_parse_rejects_malformed () =
 let record_keys =
   [
     "schema"; "spec"; "family"; "n_nodes"; "n_edges"; "layers"; "from_cache";
-    "seconds"; "layout_phases"; "cache"; "metrics"; "violations"; "report";
+    "seconds"; "spans"; "cache"; "metrics"; "violations"; "report";
   ]
 
 let test_record_schema_golden () =
@@ -121,11 +121,15 @@ let test_record_schema_golden () =
   Alcotest.(check (list string)) "cache keys"
     [ "hits"; "misses"; "coalesced"; "size" ]
     (Mvl.Telemetry.keys (Option.get (Mvl.Telemetry.member "cache" j)));
-  Alcotest.(check (list string)) "layout phase keys"
-    [ "place_seconds"; "pack_seconds"; "terminals_seconds"; "emit_seconds";
-      "build_seconds" ]
-    (Mvl.Telemetry.keys
-       (Option.get (Mvl.Telemetry.member "layout_phases" j)));
+  (match Mvl.Telemetry.member "spans" j with
+  | Some (Mvl.Telemetry.List (root :: _)) ->
+      Alcotest.(check (list string)) "span keys"
+        [ "name"; "seconds"; "minor_words"; "major_words"; "count";
+          "children" ]
+        (Mvl.Telemetry.keys root)
+  | _ -> Alcotest.fail "spans must be a non-empty list");
+  Alcotest.(check bool) "strip_volatile drops the spans" true
+    (Mvl.Telemetry.member "spans" (Mvl.Telemetry.strip_volatile j) = None);
   Alcotest.(check (list string)) "metrics keys"
     [ "width"; "height"; "area"; "layers"; "volume"; "max_wire";
       "total_wire"; "vias" ]
@@ -247,13 +251,13 @@ let test_timings_non_negative () =
       Mvl.Pipeline.run_exn ~validate:Mvl.Check.Strict ~report:true ~layers:2
         "tree:4"
     in
-    List.iter
-      (fun (t : Mvl.Pipeline.stage_time) ->
-        Alcotest.(check bool)
-          (t.Mvl.Pipeline.stage ^ " timing is non-negative")
-          true
-          (t.Mvl.Pipeline.seconds >= 0.0))
-      r.Mvl.Pipeline.timings
+    let rec check (s : Mvl.Span.t) =
+      Alcotest.(check bool)
+        (s.Mvl.Span.name ^ " timing is non-negative")
+        true (s.Mvl.Span.seconds >= 0.0);
+      List.iter check s.Mvl.Span.children
+    in
+    List.iter check r.Mvl.Pipeline.timings
   done
 
 (* --- bounded cache (bugfix: unbounded growth across sweeps) -------------- *)
